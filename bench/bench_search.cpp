@@ -2,10 +2,10 @@
 //
 // The workload of §V at firmware scale: one index holding tens of
 // thousands of encoded functions, queried in batches. "Brute" is
-// SearchIndex::TopKReference — the pre-packing implementation that scores
-// every entry one pair at a time. "Batch" is TopKBatch — the packed encode
-// matrix swept once per batch with blocked-GEMM scoring and the exact
-// callee-distance prefilter. The bench asserts the two return bitwise
+// oracle::TopKReference (tests/search_oracle.h) — the pre-packing
+// implementation that scores every entry one pair at a time. "Batch" is
+// TopKBatch — the packed encode matrix swept once per batch with
+// blocked-GEMM scoring and the exact callee-distance prefilter. The bench asserts the two return bitwise
 // identical hits (same entries, same score bits, same order) before it
 // reports any timing, so the speedup can never come from a wrong answer.
 //
@@ -26,6 +26,7 @@
 
 #include "common.h"
 #include "core/search_index.h"
+#include "search_oracle.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -53,18 +54,6 @@ ast::Ast QueryTree(int variant) {
   auto block = tree.AddNode(ast::NodeKind::kBlock, {asg, ret});
   tree.set_root(block);
   return tree;
-}
-
-bool SameHits(const std::vector<core::SearchHit>& a,
-              const std::vector<core::SearchHit>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].index != b[i].index || a[i].name != b[i].name ||
-        a[i].score != b[i].score) {
-      return false;
-    }
-  }
-  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -128,9 +117,10 @@ int Run(int argc, char** argv) {
   const auto batch_hits = index.TopKBatch(query_ptrs, ks);
   bool identical = true;
   for (int q = 0; q < batch; ++q) {
-    const auto brute =
-        index.TopKReference(queries[static_cast<std::size_t>(q)], topk);
-    if (!SameHits(batch_hits[static_cast<std::size_t>(q)], brute)) {
+    const auto brute = core::oracle::TopKReference(
+        index, model, queries[static_cast<std::size_t>(q)], topk);
+    if (!core::oracle::SameHits(batch_hits[static_cast<std::size_t>(q)],
+                                brute)) {
       identical = false;
       std::fprintf(stderr, "MISMATCH: query %d differs from brute force\n", q);
     }
@@ -140,7 +130,7 @@ int Run(int argc, char** argv) {
   // online path), timed over the whole batch.
   util::Timer brute_timer;
   for (const core::FunctionFeature& q : queries) {
-    const auto hits = index.TopKReference(q, topk);
+    const auto hits = core::oracle::TopKReference(index, model, q, topk);
     if (hits.size() != static_cast<std::size_t>(topk)) {
       std::fprintf(stderr, "brute path returned %zu hits\n", hits.size());
       return 1;

@@ -30,6 +30,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 WORK="$(mktemp -d)"
 SERVE_PID=""
@@ -96,23 +97,6 @@ counter() {
   grep -oE "\"$2\": [0-9]+" "$1" | grep -oE '[0-9]+$' || echo 0
 }
 
-# The deterministic slice, as in check_serve.sh: drop the span profile and
-# every batch-shaped histogram, plus latency-valued fields.
-filter() {
-  awk '
-    /^  "spans": \{$/            { in_spans = 1 }
-    in_spans && /^  \},?$/       { in_spans = 0; next }
-    in_spans                     { next }
-    /^    "[^"]*batch[^"]*": \{$/ { in_batch = 1 }
-    in_batch && /^    \},?$/     { in_batch = 0; next }
-    in_batch                     { next }
-    /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
-    in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99)":/           { next }
-    in_nanos && /"buckets":/     { next }
-    { print }
-  ' "$1"
-}
 
 # -- 2a. Well-behaved session: parity, zero chaos counters, determinism.
 for workers in 1 8; do
@@ -154,8 +138,8 @@ for workers in 1 8; do
            exit 1; }
   done
 done
-filter "$WORK/clean1.json" > "$WORK/clean1.det"
-filter "$WORK/clean8.json" > "$WORK/clean8.det"
+metrics_det_slice "$WORK/clean1.json" serve > "$WORK/clean1.det"
+metrics_det_slice "$WORK/clean8.json" serve > "$WORK/clean8.det"
 if ! diff -u "$WORK/clean1.det" "$WORK/clean8.det"; then
   echo "FAIL: deterministic metrics slice differs across worker counts" >&2
   exit 1

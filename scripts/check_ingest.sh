@@ -11,7 +11,7 @@
 #      the two produces byte-identical reports and advances both manifests
 #      to byte-identical states;
 #   3. asserts the deterministic slice of the two --metrics_out snapshots
-#      matches (same filter as check_metrics.sh: latency-valued fields
+#      matches (scripts/lib.sh metrics_det_slice: latency-valued fields
 #      stripped, counts kept) and that the ingest.* counters actually
 #      observed the run.
 #
@@ -19,6 +19,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -75,20 +76,10 @@ diff "$WORK/delta1.out" "$WORK/delta8.out" \
 cmp "$WORK/idx1/manifest.mani" "$WORK/idx8/manifest.mani" \
   || { echo "FAIL: manifests diverged after delta-search" >&2; exit 1; }
 
-# 3. Metrics: strip the latency-valued fields (same filter as
-# check_metrics.sh) and require the remaining deterministic slice to be
-# identical across thread counts.
-filter() {
-  awk '
-    /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
-    in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99|total_seconds|mean_seconds)":/ { next }
-    in_nanos && /"buckets":/     { next }
-    { print }
-  ' "$1"
-}
-filter "$WORK/m1.json" > "$WORK/m1.det"
-filter "$WORK/m8.json" > "$WORK/m8.det"
+# 3. Metrics: the deterministic slice (scripts/lib.sh) must be identical
+# across thread counts.
+metrics_det_slice "$WORK/m1.json" > "$WORK/m1.det"
+metrics_det_slice "$WORK/m8.json" > "$WORK/m8.det"
 if ! diff -u "$WORK/m1.det" "$WORK/m8.det"; then
   echo "FAIL: deterministic metrics slice differs between thread counts" >&2
   exit 1

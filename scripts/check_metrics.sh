@@ -13,6 +13,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -33,25 +34,10 @@ for threads in 1 8; do
          --threads=$threads --metrics_out="$WORK/m$threads.json" >/dev/null
 done
 
-# Strip the latency-valued (machine- and schedule-dependent) fields:
-#   - sum/min/max of every histogram (nanos histograms time real work),
-#   - total_seconds/mean_seconds of every span,
-#   - per-bucket tallies of *_nanos histograms (observation values are
-#     timings, so bucket placement is nondeterministic; counts are not).
-# Everything that survives is the deterministic slice and must be identical
-# across thread counts.
-filter() {
-  awk '
-    /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
-    in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99|total_seconds|mean_seconds)":/ { next }
-    in_nanos && /"buckets":/     { next }
-    { print }
-  ' "$1"
-}
-
-filter "$WORK/m1.json" > "$WORK/m1.det"
-filter "$WORK/m8.json" > "$WORK/m8.det"
+# The deterministic slice (scripts/lib.sh) must be identical across thread
+# counts.
+metrics_det_slice "$WORK/m1.json" > "$WORK/m1.det"
+metrics_det_slice "$WORK/m8.json" > "$WORK/m8.det"
 if ! diff -u "$WORK/m1.det" "$WORK/m8.det"; then
   echo "FAIL: deterministic metrics slice differs between --threads=1 and --threads=8" >&2
   exit 1

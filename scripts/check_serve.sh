@@ -19,6 +19,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 WORK="$(mktemp -d)"
 SERVE_PID=""
@@ -84,29 +85,13 @@ if ! diff -u "$WORK/out1.txt" "$WORK/out8.txt"; then
   exit 1
 fi
 
-# Deterministic metrics slice: drop the spans section and every *batch*
-# histogram wholesale (their counts encode arrival timing), then the usual
-# latency-valued fields (sum/min/max and the p50/p95/p99 estimates
-# everywhere, nanos bucket tallies). Everything that survives must be
-# identical across worker counts.
-filter() {
-  awk '
-    /^  "spans": \{$/            { in_spans = 1 }
-    in_spans && /^  \},?$/       { in_spans = 0; next }
-    in_spans                     { next }
-    /^    "[^"]*batch[^"]*": \{$/ { in_batch = 1 }
-    in_batch && /^    \},?$/     { in_batch = 0; next }
-    in_batch                     { next }
-    /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
-    in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99)":/           { next }
-    in_nanos && /"buckets":/     { next }
-    { print }
-  ' "$1"
-}
+# Deterministic metrics slice (scripts/lib.sh, serve mode: the spans
+# section and every *batch* histogram go too, since their counts encode
+# arrival timing). Everything that survives must be identical across worker
+# counts.
 
-filter "$WORK/m1.json" > "$WORK/m1.det"
-filter "$WORK/m8.json" > "$WORK/m8.det"
+metrics_det_slice "$WORK/m1.json" serve > "$WORK/m1.det"
+metrics_det_slice "$WORK/m8.json" serve > "$WORK/m8.det"
 if ! diff -u "$WORK/m1.det" "$WORK/m8.det"; then
   echo "FAIL: deterministic metrics slice differs between --workers=1 and --workers=8" >&2
   exit 1

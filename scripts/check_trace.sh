@@ -27,6 +27,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 WORK="$(mktemp -d)"
 SERVE_PID=""
@@ -178,21 +179,6 @@ awk '
 # -- 3. Determinism with the tracing stack armed -----------------------------
 
 echo "== check_trace: determinism with tracing armed =="
-filter() {
-  awk '
-    /^  "spans": \{$/            { in_spans = 1 }
-    in_spans && /^  \},?$/       { in_spans = 0; next }
-    in_spans                     { next }
-    /^    "[^"]*batch[^"]*": \{$/ { in_batch = 1 }
-    in_batch && /^    \},?$/     { in_batch = 0; next }
-    in_batch                     { next }
-    /^    "[a-z_.]*_nanos": \{$/ { in_nanos = 1 }
-    in_nanos && /^    \}/        { in_nanos = 0 }
-    /"(sum|min|max|p50|p95|p99)":/ { next }
-    in_nanos && /"buckets":/     { next }
-    { print }
-  ' "$1"
-}
 
 for workers in 1 2; do
   SOCK="$WORK/det$workers.sock"
@@ -236,8 +222,8 @@ if ! diff -u "$WORK/out1.txt" "$WORK/out2.txt"; then
   echo "FAIL: query results differ between --workers=1 and --workers=2" >&2
   exit 1
 fi
-filter "$WORK/m1.json" > "$WORK/m1.det"
-filter "$WORK/m2.json" > "$WORK/m2.det"
+metrics_det_slice "$WORK/m1.json" serve > "$WORK/m1.det"
+metrics_det_slice "$WORK/m2.json" serve > "$WORK/m2.det"
 if ! diff -u "$WORK/m1.det" "$WORK/m2.det"; then
   echo "FAIL: deterministic metrics slice differs with tracing armed" >&2
   exit 1

@@ -35,8 +35,8 @@ util::Histogram h_topk_batch_queries("search.topk_batch_queries");
 util::Histogram h_topk_batch_nanos("search.topk_batch_nanos");
 // Prune accounting, bumped once per sweep with shard-order totals (never in
 // the scoring inner loop), so metrics cost does not scale with index size.
-// Prune decisions depend only on callee counts and deterministic seed
-// scores, so both totals are thread-count invariant.
+// Prune decisions depend only on callee counts, thresholds and
+// deterministic seed scores, so both totals are thread-count invariant.
 util::Counter c_scored_pairs("search.scored_pairs");
 util::Counter c_pruned_pairs("search.pruned_pairs");
 
@@ -53,13 +53,6 @@ bool AllFinite(const nn::Matrix& m) { return AllFinite(m.data(), m.size()); }
 constexpr std::uint32_t kTagIndexMeta = store::FourCc('I', 'M', 'E', 'T');
 constexpr std::uint32_t kTagIndexEntry = store::FourCc('E', 'N', 'T', 'R');
 constexpr std::uint32_t kSnapshotVersion = 1;
-
-// Strict total order on hits: score descending, insertion index ascending.
-// The index tiebreak makes merge results independent of the shard count.
-bool HitBefore(const SearchHit& a, const SearchHit& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.index < b.index;
-}
 
 // -- Exact prefilter machinery ---------------------------------------------
 //
@@ -197,17 +190,18 @@ constexpr std::size_t kStackTallySlots = 64;
 
 }  // namespace
 
-// Strict total order on (score, insertion index) refs — HitBefore without
-// the materialized name. Templated so the file-local helpers never have to
-// name the private SearchIndex::ScoredRef type.
+// Strict total order on (score, insertion index) refs: score descending,
+// insertion index ascending. The index tiebreak makes merge results
+// independent of the shard count. Templated so the file-local helpers never
+// have to name the private SearchIndex::ScoredRef type.
 template <typename Ref>
 static bool RefBefore(const Ref& a, const Ref& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.index < b.index;
 }
 
-// Keeps at most `keep` best refs in a worst-on-top heap (the shard-local
-// top-k scheme every sweep shares).
+// Keeps at most `keep` best refs in a worst-on-top heap (the keep-k floor
+// policy's seed and shard-local heaps).
 template <typename Ref>
 static void PushHeapKeep(std::vector<Ref>* heap, std::size_t keep, Ref ref) {
   auto worse = [](const Ref& a, const Ref& b) {
@@ -223,12 +217,16 @@ static void PushHeapKeep(std::vector<Ref>* heap, std::size_t keep, Ref ref) {
   }
 }
 
-// Per-query sweep state: the encoded query plus the exact-prune cut derived
-// from its callee-nearest seed entries.
+// Per-query sweep state: the encoded query, its floor policy, and the
+// exact-prune cut derived from that floor.
 struct SearchIndex::QueryPlan {
-  const double* encoding = nullptr;
+  // Set by the caller.
+  nn::Matrix encoding;
   int callees = 0;
-  std::size_t keep = 0;      // TopK: heap size; 0 disables scoring entirely
+  bool keep_k = true;      // floor policy: keep-k heap, else threshold
+  std::size_t keep = 0;    // keep-k: heap size; 0 disables scoring entirely
+  double threshold = 0.0;  // threshold: the static floor
+  // Derived by the sweep.
   std::int64_t max_dist = kNoDistanceCut;  // skip entries with |ΔC| beyond
   std::int64_t seed_lo = 0, seed_hi = 0;   // side positions already scored
   std::vector<ScoredRef> seed_heap;        // their top-keep refs
@@ -377,41 +375,43 @@ void SearchIndex::EnsureSideIndexFresh() const {
   side_dirty_.store(false, std::memory_order_release);
 }
 
-std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
-    const std::vector<nn::Matrix>& encodings, const std::vector<int>& callees,
-    const std::vector<std::size_t>& keeps,
+std::vector<std::vector<SearchHit>> SearchIndex::Sweep(
+    std::vector<QueryPlan>* plans_ptr,
     std::vector<QuerySearchStats>* stats) const {
-  const std::size_t batch = encodings.size();
+  std::vector<QueryPlan>& plans = *plans_ptr;
+  const std::size_t batch = plans.size();
   const std::int64_t n = static_cast<std::int64_t>(entries_.size());
   std::vector<std::vector<SearchHit>> results(batch);
   if (batch == 0 || n == 0) return results;
   const std::int64_t sweep_start_nanos = util::TraceNowNanos();
 
-  // Phase 1 — per-query plans. When the prune is worth arming (large index,
-  // small k), pick the `keep` entries nearest the query's callee count in
-  // the side order, score them serially into a full heap, and derive the
-  // static distance cut from its worst score: any entry farther than
-  // max_dist has bound < that score and provably cannot displace a kept
-  // hit. Everything here is a pure function of (callee counts, k, scores),
-  // so plans — and therefore the skipped set — are thread-count invariant.
-  bool any_prune = false;
-  for (std::size_t q = 0; q < batch; ++q) {
-    if (keeps[q] > 0 && keeps[q] <= kMaxPruneK && n >= kMinPruneIndex) {
-      any_prune = true;
-      break;
-    }
-  }
-  if (any_prune) EnsureSideIndexFresh();
-  std::vector<QueryPlan> plans(batch);
+  // Phase 1 — per-query floors. A threshold plan's floor is the threshold
+  // itself: no entry whose calibration bound falls below it can score above
+  // it, so no seed pass is needed. A keep-k plan earns a floor when the
+  // prune is worth arming (large index, small k): pick the `keep` entries
+  // nearest the query's callee count in the side order, score them serially
+  // into a full heap, and take its worst score. Either way the floor becomes
+  // the static distance cut: any entry farther than max_dist has bound <
+  // floor and provably cannot reach the result. Everything here is a pure
+  // function of (callee counts, k, threshold, scores), so plans — and
+  // therefore the skipped set — are thread-count invariant.
+  const auto seeded = [n](const QueryPlan& plan) {
+    return plan.keep_k && plan.keep > 0 && plan.keep <= kMaxPruneK &&
+           n >= kMinPruneIndex;
+  };
+  const bool any_seeded = std::any_of(plans.begin(), plans.end(), seeded);
+  if (any_seeded) EnsureSideIndexFresh();
   std::vector<std::uint64_t> seed_scored(batch, 0);
   util::ParallelFor(
-      static_cast<std::int64_t>(batch), threads_, [&](std::int64_t qi) {
+      static_cast<std::int64_t>(batch), any_seeded ? threads_ : 1,
+      [&](std::int64_t qi) {
         const std::size_t q = static_cast<std::size_t>(qi);
         QueryPlan& plan = plans[q];
-        plan.encoding = encodings[q].data();
-        plan.callees = callees[q];
-        plan.keep = keeps[q];
-        if (plan.keep == 0 || plan.keep > kMaxPruneK || n < kMinPruneIndex) {
+        if (!plan.keep_k) {
+          plan.max_dist = MaxAllowedDistance(plan.threshold);
+          return;
+        }
+        if (!seeded(plan)) {
           return;  // no prune: the sweep scores every entry for this query
         }
         // Seed range: exactly `keep` side positions nearest the query's
@@ -465,7 +465,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
         };
         for (std::int64_t pos = lo; pos < hi; ++pos) {
           const int entry = side_order_[static_cast<std::size_t>(pos)];
-          scorer.Push(plan.encoding, packed_.Column(entry), 0, entry);
+          scorer.Push(plan.encoding.data(), packed_.Column(entry), 0, entry);
           if (scorer.Full()) scorer.Flush(sink);
         }
         scorer.Flush(sink);
@@ -479,18 +479,19 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
   // Phase 2 — one blocked sweep over the packed matrix in insertion order.
   // Every (entry block x query batch) tile is gathered and scored through
   // one GEMM flush; seeds are skipped by side position, pruned pairs by the
-  // distance cut.
+  // distance cut. Survivors land in shard-local refs: a k-bounded heap for
+  // keep-k, every ref at or above the floor for threshold.
   const int max_shards = threads_;
   const std::size_t shard_slots =
       static_cast<std::size_t>(std::max(1, max_shards));
-  std::vector<std::vector<std::vector<ScoredRef>>> shard_top(
+  std::vector<std::vector<std::vector<ScoredRef>>> shard_refs(
       shard_slots, std::vector<std::vector<ScoredRef>>(batch));
   // Pair tallies per (shard, query), flattened (rows of 2*batch per shard:
-  // scored then pruned): summed across queries they reproduce the old
-  // per-shard totals (same counter deltas); summed across shards they give
-  // each query's exact scored/pruned counts for `stats`. Flat — and on the
-  // stack for the common small case — because this runs per dispatch: a
-  // nested vector-of-vectors costs 2*(shards+1) mallocs on the warm
+  // scored then pruned): summed across queries they give the per-sweep
+  // counter deltas; summed across shards they give each query's exact
+  // scored/pruned counts for `stats`. Flat — and on the stack for the
+  // common small case — because this runs per dispatch: a nested
+  // vector-of-vectors costs 2*(shards+1) mallocs on the warm
   // singleton-query path.
   const std::size_t tally_count = shard_slots * batch * 2;
   std::uint64_t stack_tallies[kStackTallySlots] = {};
@@ -503,9 +504,9 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
   util::ParallelForShards(
       n, max_shards, [&](std::int64_t begin, std::int64_t end, int shard) {
         std::vector<std::vector<ScoredRef>>& locals =
-            shard_top[static_cast<std::size_t>(shard)];
+            shard_refs[static_cast<std::size_t>(shard)];
         for (std::size_t q = 0; q < batch; ++q) {
-          locals[q].reserve(plans[q].keep + 1);
+          if (plans[q].keep_k) locals[q].reserve(plans[q].keep + 1);
         }
         std::uint64_t* const scored =
             shard_tallies + static_cast<std::size_t>(shard) * batch * 2;
@@ -513,18 +514,23 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
         BlockScorer scorer(model_);
         auto sink = [&](int q, int entry, double m) {
           const std::size_t slot = static_cast<std::size_t>(q);
+          const QueryPlan& plan = plans[slot];
           const std::int64_t d = CalleeDistance(
               entries_[static_cast<std::size_t>(entry)].callee_count,
-              plans[slot].callees);
-          PushHeapKeep(&locals[slot], plans[slot].keep,
-                       {m * CalleeSimFromDistance(d), entry});
+              plan.callees);
+          const double score = m * CalleeSimFromDistance(d);
+          if (plan.keep_k) {
+            PushHeapKeep(&locals[slot], plan.keep, {score, entry});
+          } else if (!(score < plan.threshold)) {
+            locals[slot].push_back({score, entry});
+          }
         };
         for (std::int64_t i = begin; i < end; ++i) {
           const int ce = entries_[static_cast<std::size_t>(i)].callee_count;
           const double* column = packed_.Column(i);
           for (std::size_t q = 0; q < batch; ++q) {
             const QueryPlan& plan = plans[q];
-            if (plan.keep == 0) continue;
+            if (plan.keep_k && plan.keep == 0) continue;
             if (plan.seed_hi > plan.seed_lo) {
               const int pos = side_pos_[static_cast<std::size_t>(i)];
               if (pos >= plan.seed_lo && pos < plan.seed_hi) {
@@ -536,7 +542,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
               ++pruned[q];
               continue;
             }
-            scorer.Push(plan.encoding, column, static_cast<int>(q),
+            scorer.Push(plan.encoding.data(), column, static_cast<int>(q),
                         static_cast<int>(i));
             ++scored[q];
             if (scorer.Full()) scorer.Flush(sink);
@@ -545,9 +551,10 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
         scorer.Flush(sink);
       });
 
-  // Merge: seeds plus every shard's heap, cut under the strict total order.
-  // The ranking is a pure function of the scores, so the result is bitwise
-  // identical to the brute-force sweep at any thread count.
+  // Merge: seeds plus every shard's refs, ordered under the strict total
+  // order — cut to k for keep-k, fully sorted for threshold. The ranking is
+  // a pure function of the scores, so the result is bitwise identical to
+  // the brute-force sweep at any thread count.
   std::uint64_t total_scored = 0, total_pruned = 0;
   for (std::size_t q = 0; q < batch; ++q) {
     std::uint64_t q_scored = seed_scored[q], q_pruned = 0;
@@ -565,15 +572,21 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
   c_scored_pairs.Add(total_scored);
   c_pruned_pairs.Add(total_pruned);
   for (std::size_t q = 0; q < batch; ++q) {
-    std::vector<ScoredRef> merged = std::move(plans[q].seed_heap);
-    merged.reserve(merged.size() + keeps[q] * shard_slots);
-    for (std::vector<std::vector<ScoredRef>>& locals : shard_top) {
+    QueryPlan& plan = plans[q];
+    std::vector<ScoredRef> merged = std::move(plan.seed_heap);
+    if (plan.keep_k) merged.reserve(merged.size() + plan.keep * shard_slots);
+    for (std::vector<std::vector<ScoredRef>>& locals : shard_refs) {
       merged.insert(merged.end(), locals[q].begin(), locals[q].end());
     }
-    const auto cut = merged.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                          keeps[q], merged.size()));
-    std::partial_sort(merged.begin(), cut, merged.end(), RefBefore<ScoredRef>);
-    merged.erase(cut, merged.end());
+    if (plan.keep_k) {
+      const auto cut = merged.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                            plan.keep, merged.size()));
+      std::partial_sort(merged.begin(), cut, merged.end(),
+                        RefBefore<ScoredRef>);
+      merged.erase(cut, merged.end());
+    } else {
+      std::sort(merged.begin(), merged.end(), RefBefore<ScoredRef>);
+    }
     std::vector<SearchHit>& hits = results[q];
     hits.resize(merged.size());
     for (std::size_t i = 0; i < merged.size(); ++i) {
@@ -592,111 +605,27 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKOnEncodings(
   return results;
 }
 
-std::vector<std::vector<SearchHit>> SearchIndex::AboveThresholdOnEncodings(
-    const std::vector<nn::Matrix>& encodings, const std::vector<int>& callees,
-    const std::vector<double>& thresholds,
+std::vector<SearchIndex::QueryPlan> SearchIndex::EncodeBatch(
+    const std::vector<const FunctionFeature*>& queries,
     std::vector<QuerySearchStats>* stats) const {
-  const std::size_t batch = encodings.size();
-  const std::int64_t n = static_cast<std::int64_t>(entries_.size());
-  std::vector<std::vector<SearchHit>> results(batch);
-  if (batch == 0 || n == 0) return results;
-  const std::int64_t sweep_start_nanos = util::TraceNowNanos();
-  // The threshold is a static floor, so no seed pass is needed: any entry
-  // whose calibration bound falls below it cannot score above it.
-  std::vector<QueryPlan> plans(batch);
-  for (std::size_t q = 0; q < batch; ++q) {
-    plans[q].encoding = encodings[q].data();
-    plans[q].callees = callees[q];
-    plans[q].max_dist = MaxAllowedDistance(thresholds[q]);
-  }
-  const int max_shards = threads_;
-  const std::size_t shard_slots =
-      static_cast<std::size_t>(std::max(1, max_shards));
-  std::vector<std::vector<std::vector<ScoredRef>>> shard_hits(
-      shard_slots, std::vector<std::vector<ScoredRef>>(batch));
-  // Same flat tally layout as TopKOnEncodings: scored row then pruned row,
-  // 2*batch slots per shard, stack-backed for the common small case.
-  const std::size_t tally_count = shard_slots * batch * 2;
-  std::uint64_t stack_tallies[kStackTallySlots] = {};
-  std::vector<std::uint64_t> heap_tallies;
-  std::uint64_t* shard_tallies = stack_tallies;
-  if (tally_count > kStackTallySlots) {
-    heap_tallies.assign(tally_count, 0);
-    shard_tallies = heap_tallies.data();
-  }
-  util::ParallelForShards(
-      n, max_shards, [&](std::int64_t begin, std::int64_t end, int shard) {
-        std::vector<std::vector<ScoredRef>>& locals =
-            shard_hits[static_cast<std::size_t>(shard)];
-        std::uint64_t* const scored =
-            shard_tallies + static_cast<std::size_t>(shard) * batch * 2;
-        std::uint64_t* const pruned = scored + batch;
-        BlockScorer scorer(model_);
-        auto sink = [&](int q, int entry, double m) {
-          const std::size_t slot = static_cast<std::size_t>(q);
-          const std::int64_t d = CalleeDistance(
-              entries_[static_cast<std::size_t>(entry)].callee_count,
-              plans[slot].callees);
-          const double score = m * CalleeSimFromDistance(d);
-          if (!(score < thresholds[slot])) {
-            locals[slot].push_back({score, entry});
-          }
-        };
-        for (std::int64_t i = begin; i < end; ++i) {
-          const int ce = entries_[static_cast<std::size_t>(i)].callee_count;
-          const double* column = packed_.Column(i);
-          for (std::size_t q = 0; q < batch; ++q) {
-            if (plans[q].max_dist != kNoDistanceCut &&
-                CalleeDistance(ce, plans[q].callees) > plans[q].max_dist) {
-              ++pruned[q];
-              continue;
-            }
-            scorer.Push(plans[q].encoding, column, static_cast<int>(q),
-                        static_cast<int>(i));
-            ++scored[q];
-            if (scorer.Full()) scorer.Flush(sink);
-          }
-        }
-        scorer.Flush(sink);
-      });
-  std::uint64_t total_scored = 0, total_pruned = 0;
-  for (std::size_t q = 0; q < batch; ++q) {
-    std::uint64_t q_scored = 0, q_pruned = 0;
-    for (std::size_t s = 0; s < shard_slots; ++s) {
-      q_scored += shard_tallies[s * batch * 2 + q];
-      q_pruned += shard_tallies[s * batch * 2 + batch + q];
-    }
-    total_scored += q_scored;
-    total_pruned += q_pruned;
-    if (stats != nullptr) {
-      (*stats)[q].scored_pairs = q_scored;
-      (*stats)[q].pruned_pairs = q_pruned;
-    }
-  }
-  c_scored_pairs.Add(total_scored);
-  c_pruned_pairs.Add(total_pruned);
-  for (std::size_t q = 0; q < batch; ++q) {
-    std::vector<ScoredRef> merged;
-    for (std::vector<std::vector<ScoredRef>>& locals : shard_hits) {
-      merged.insert(merged.end(), locals[q].begin(), locals[q].end());
-    }
-    std::sort(merged.begin(), merged.end(), RefBefore<ScoredRef>);
-    std::vector<SearchHit>& hits = results[q];
-    hits.resize(merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      hits[i].index = merged[i].index;
-      hits[i].name = entries_[static_cast<std::size_t>(merged[i].index)].name;
-      hits[i].score = merged[i].score;
-    }
-  }
-  if (stats != nullptr) {
-    const std::uint64_t sweep_nanos = static_cast<std::uint64_t>(
-        util::TraceNowNanos() - sweep_start_nanos);
-    for (std::size_t q = 0; q < batch; ++q) {
-      (*stats)[q].score_nanos = sweep_nanos;
-    }
-  }
-  return results;
+  // The expensive per-query step, in parallel across queries. Each slot of
+  // `plans` and `stats` is written by exactly one ParallelFor iteration, so
+  // no synchronization is needed.
+  std::vector<QueryPlan> plans(queries.size());
+  util::ParallelFor(static_cast<std::int64_t>(queries.size()), threads_,
+                    [&](std::int64_t q) {
+                      ASTERIA_SPAN("encode");
+                      const std::int64_t encode_start =
+                          util::TraceNowNanos();
+                      const std::size_t slot = static_cast<std::size_t>(q);
+                      plans[slot].encoding = model_.Encode(queries[slot]->tree);
+                      plans[slot].callees = queries[slot]->callee_count;
+                      if (stats != nullptr) {
+                        (*stats)[slot].encode_nanos = static_cast<std::uint64_t>(
+                            util::TraceNowNanos() - encode_start);
+                      }
+                    });
+  return plans;
 }
 
 std::vector<SearchHit> SearchIndex::TopK(const FunctionFeature& query,
@@ -704,13 +633,12 @@ std::vector<SearchHit> SearchIndex::TopK(const FunctionFeature& query,
   if (k <= 0 || entries_.empty()) return {};
   ASTERIA_SPAN("search");
   util::Timer timer;
-  std::vector<nn::Matrix> encodings(1);
-  encodings[0] = model_.Encode(query.tree);
-  const std::vector<int> callees{query.callee_count};
-  const std::vector<std::size_t> keeps{
-      std::min<std::size_t>(static_cast<std::size_t>(k), entries_.size())};
-  std::vector<SearchHit> hits =
-      std::move(TopKOnEncodings(encodings, callees, keeps)[0]);
+  std::vector<QueryPlan> plans(1);
+  plans[0].encoding = model_.Encode(query.tree);
+  plans[0].callees = query.callee_count;
+  plans[0].keep =
+      std::min<std::size_t>(static_cast<std::size_t>(k), entries_.size());
+  std::vector<SearchHit> hits = std::move(Sweep(&plans)[0]);
   h_topk_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
   h_topk_size.Observe(hits.size());
   return hits;
@@ -720,41 +648,19 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKBatch(
     const std::vector<const FunctionFeature*>& queries,
     const std::vector<int>& ks, std::vector<QuerySearchStats>* stats) const {
   const std::size_t batch = queries.size();
-  std::vector<std::vector<SearchHit>> results(batch);
-  if (stats != nullptr) {
-    stats->clear();
-    stats->resize(batch);
-  }
-  if (batch == 0) return results;
+  if (stats != nullptr) stats->assign(batch, QuerySearchStats{});
+  if (batch == 0) return {};
   ASTERIA_SPAN("search");
   util::Timer timer;
   h_topk_batch_queries.Observe(batch);
-  // Encode the whole batch first (the expensive per-query step), in
-  // parallel across queries. Each slot of `stats` is written by exactly one
-  // ParallelFor iteration, so no synchronization is needed.
-  std::vector<nn::Matrix> encodings(batch);
-  util::ParallelFor(static_cast<std::int64_t>(batch), threads_,
-                    [&](std::int64_t q) {
-                      ASTERIA_SPAN("encode");
-                      const std::int64_t encode_start =
-                          util::TraceNowNanos();
-                      const std::size_t slot = static_cast<std::size_t>(q);
-                      encodings[slot] = model_.Encode(queries[slot]->tree);
-                      if (stats != nullptr) {
-                        (*stats)[slot].encode_nanos = static_cast<std::uint64_t>(
-                            util::TraceNowNanos() - encode_start);
-                      }
-                    });
-  std::vector<int> callees(batch);
-  std::vector<std::size_t> keeps(batch);
+  std::vector<QueryPlan> plans = EncodeBatch(queries, stats);
   for (std::size_t q = 0; q < batch; ++q) {
-    callees[q] = queries[q]->callee_count;
-    keeps[q] = ks[q] <= 0 ? 0
-                          : std::min<std::size_t>(
-                                static_cast<std::size_t>(ks[q]),
-                                entries_.size());
+    plans[q].keep = ks[q] <= 0 ? 0
+                               : std::min<std::size_t>(
+                                     static_cast<std::size_t>(ks[q]),
+                                     entries_.size());
   }
-  results = TopKOnEncodings(encodings, callees, keeps, stats);
+  std::vector<std::vector<SearchHit>> results = Sweep(&plans, stats);
   for (std::size_t q = 0; q < batch; ++q) {
     h_topk_size.Observe(results[q].size());
   }
@@ -766,12 +672,12 @@ std::vector<SearchHit> SearchIndex::AboveThreshold(
     const FunctionFeature& query, double threshold) const {
   ASTERIA_SPAN("search");
   if (entries_.empty()) return {};
-  std::vector<nn::Matrix> encodings(1);
-  encodings[0] = model_.Encode(query.tree);
-  const std::vector<int> callees{query.callee_count};
-  const std::vector<double> thresholds{threshold};
-  return std::move(
-      AboveThresholdOnEncodings(encodings, callees, thresholds)[0]);
+  std::vector<QueryPlan> plans(1);
+  plans[0].encoding = model_.Encode(query.tree);
+  plans[0].callees = query.callee_count;
+  plans[0].keep_k = false;
+  plans[0].threshold = threshold;
+  return std::move(Sweep(&plans)[0]);
 }
 
 std::vector<std::vector<SearchHit>> SearchIndex::AboveThresholdBatch(
@@ -779,133 +685,15 @@ std::vector<std::vector<SearchHit>> SearchIndex::AboveThresholdBatch(
     const std::vector<double>& thresholds,
     std::vector<QuerySearchStats>* stats) const {
   const std::size_t batch = queries.size();
-  std::vector<std::vector<SearchHit>> results(batch);
-  if (stats != nullptr) {
-    stats->clear();
-    stats->resize(batch);
-  }
-  if (batch == 0) return results;
+  if (stats != nullptr) stats->assign(batch, QuerySearchStats{});
+  if (batch == 0) return {};
   ASTERIA_SPAN("search");
-  std::vector<nn::Matrix> encodings(batch);
-  util::ParallelFor(static_cast<std::int64_t>(batch), threads_,
-                    [&](std::int64_t q) {
-                      ASTERIA_SPAN("encode");
-                      const std::int64_t encode_start =
-                          util::TraceNowNanos();
-                      const std::size_t slot = static_cast<std::size_t>(q);
-                      encodings[slot] = model_.Encode(queries[slot]->tree);
-                      if (stats != nullptr) {
-                        (*stats)[slot].encode_nanos = static_cast<std::uint64_t>(
-                            util::TraceNowNanos() - encode_start);
-                      }
-                    });
-  std::vector<int> callees(batch);
+  std::vector<QueryPlan> plans = EncodeBatch(queries, stats);
   for (std::size_t q = 0; q < batch; ++q) {
-    callees[q] = queries[q]->callee_count;
+    plans[q].keep_k = false;
+    plans[q].threshold = thresholds[q];
   }
-  return AboveThresholdOnEncodings(encodings, callees, thresholds, stats);
-}
-
-// -- Brute-force reference paths (pre-packing implementation) --------------
-
-std::vector<nn::Matrix> SearchIndex::MaterializeEncodings() const {
-  std::vector<nn::Matrix> mats(entries_.size());
-  util::ParallelFor(static_cast<std::int64_t>(entries_.size()), threads_,
-                    [&](std::int64_t i) {
-                      mats[static_cast<std::size_t>(i)] =
-                          encoding(static_cast<int>(i));
-                    });
-  return mats;
-}
-
-SearchHit SearchIndex::ScoreEntryReference(const nn::Matrix& query_encoding,
-                                           int query_callees,
-                                           const nn::Matrix& entry_encoding,
-                                           int index) const {
-  const EntryMeta& entry = entries_[static_cast<std::size_t>(index)];
-  SearchHit hit;
-  hit.index = index;
-  hit.name = entry.name;
-  hit.score = CalibratedSimilarity(
-      model_.SimilarityFromEncodings(query_encoding, entry_encoding),
-      query_callees, entry.callee_count);
-  return hit;
-}
-
-std::vector<SearchHit> SearchIndex::ScoredReference(
-    const FunctionFeature& query,
-    const std::vector<nn::Matrix>& entry_encodings) const {
-  const nn::Matrix query_encoding = model_.Encode(query.tree);
-  std::vector<SearchHit> hits(entries_.size());
-  util::ParallelFor(static_cast<std::int64_t>(entries_.size()), threads_,
-                    [&](std::int64_t i) {
-                      const std::size_t slot = static_cast<std::size_t>(i);
-                      hits[slot] = ScoreEntryReference(
-                          query_encoding, query.callee_count,
-                          entry_encodings[slot], static_cast<int>(i));
-                    });
-  return hits;
-}
-
-std::vector<SearchHit> SearchIndex::TopKReference(const FunctionFeature& query,
-                                                  int k) const {
-  if (k <= 0 || entries_.empty()) return {};
-  const std::vector<nn::Matrix> mats = MaterializeEncodings();
-  const nn::Matrix query_encoding = model_.Encode(query.tree);
-  const std::size_t keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), entries_.size());
-  // Shard-local top-k exactly as the original brute force: every entry is
-  // scored, one pair at a time.
-  const int max_shards = threads_;
-  std::vector<std::vector<SearchHit>> shard_top(
-      static_cast<std::size_t>(std::max(1, max_shards)));
-  util::ParallelForShards(
-      static_cast<std::int64_t>(entries_.size()), max_shards,
-      [&](std::int64_t begin, std::int64_t end, int shard) {
-        auto worse = [](const SearchHit& a, const SearchHit& b) {
-          return HitBefore(a, b);  // heap top = worst kept hit
-        };
-        std::vector<SearchHit>& local =
-            shard_top[static_cast<std::size_t>(shard)];
-        local.reserve(keep + 1);
-        for (std::int64_t i = begin; i < end; ++i) {
-          SearchHit hit = ScoreEntryReference(
-              query_encoding, query.callee_count,
-              mats[static_cast<std::size_t>(i)], static_cast<int>(i));
-          if (local.size() < keep) {
-            local.push_back(std::move(hit));
-            std::push_heap(local.begin(), local.end(), worse);
-          } else if (HitBefore(hit, local.front())) {
-            std::pop_heap(local.begin(), local.end(), worse);
-            local.back() = std::move(hit);
-            std::push_heap(local.begin(), local.end(), worse);
-          }
-        }
-      });
-  std::vector<SearchHit> merged;
-  merged.reserve(keep * shard_top.size());
-  for (std::vector<SearchHit>& local : shard_top) {
-    merged.insert(merged.end(), std::make_move_iterator(local.begin()),
-                  std::make_move_iterator(local.end()));
-  }
-  const auto cut = merged.begin() + static_cast<std::ptrdiff_t>(
-                                        std::min(keep, merged.size()));
-  std::partial_sort(merged.begin(), cut, merged.end(), HitBefore);
-  merged.erase(cut, merged.end());
-  return merged;
-}
-
-std::vector<SearchHit> SearchIndex::AboveThresholdReference(
-    const FunctionFeature& query, double threshold) const {
-  const std::vector<nn::Matrix> mats = MaterializeEncodings();
-  std::vector<SearchHit> hits = ScoredReference(query, mats);
-  hits.erase(std::remove_if(hits.begin(), hits.end(),
-                            [&](const SearchHit& hit) {
-                              return hit.score < threshold;
-                            }),
-             hits.end());
-  std::sort(hits.begin(), hits.end(), HitBefore);
-  return hits;
+  return Sweep(&plans, stats);
 }
 
 // -- Snapshots --------------------------------------------------------------

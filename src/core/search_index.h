@@ -14,15 +14,20 @@
 // (SiameseModel::SimilarityFromEncodingsBatch), with SearchHit names
 // materialized only for the hits that survive — never per scored pair.
 //
-// On top of the sweep sits an *exact* prefilter: M(T1,T2) <= 1, so the
-// calibrated score F = M * S is bounded by S(C1,C2) = e^{-|C1-C2|}. A
-// callee-count-sorted side index seeds each query's top-k heap with the
-// nearest-callee entries, and every entry whose calibration bound falls
-// strictly below that k-th seed score is skipped — a legal prune that only
-// drops provably-losing entries (proof sketch in docs/PERFORMANCE.md).
-// TopK/TopKBatch/AboveThreshold therefore return results bitwise identical
-// to the brute-force sweep (TopKReference/AboveThresholdReference, kept
-// in-tree as the differential oracle and bench baseline).
+// Every query path runs one sweep whose per-query plan carries a *floor
+// policy* — the score below which no entry can matter:
+//   - keep-k (TopK/TopKBatch): a callee-count-sorted side index seeds the
+//     query's k-bounded heap with its nearest-callee entries; the worst
+//     seed score is the floor, and the kept refs are cut to k;
+//   - threshold (AboveThreshold/AboveThresholdBatch): the threshold itself
+//     is a static floor; no seeds, every surviving ref is kept and sorted.
+// Either floor arms the same *exact* prefilter: M(T1,T2) <= 1, so the
+// calibrated score F = M * S is bounded by S(C1,C2) = e^{-|C1-C2|}, and
+// every entry whose calibration bound falls strictly below the floor is
+// skipped — a legal prune that only drops provably-losing entries (proof
+// sketch in docs/PERFORMANCE.md). Results are therefore bitwise identical
+// to a brute-force sweep; tests/search_oracle.h holds that brute force as
+// the differential oracle and bench baseline.
 //
 // Both phases parallelize over util::ThreadPool with its static-partition
 // determinism contract: AddAll encodes shards of the input concurrently but
@@ -129,18 +134,6 @@ class SearchIndex {
       const std::vector<double>& thresholds,
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
-  // -- Brute-force reference paths ----------------------------------------
-  //
-  // The pre-packing implementation, kept verbatim as (a) the differential
-  // oracle for tests/search_index_test.cpp (pruned/blocked results must be
-  // bitwise identical to these, at every thread count) and (b) the baseline
-  // that scripts/bench_search.sh measures the blocked path against. They
-  // score every entry, one pair at a time, with no pruning.
-  std::vector<SearchHit> TopKReference(const FunctionFeature& query,
-                                       int k) const;
-  std::vector<SearchHit> AboveThresholdReference(const FunctionFeature& query,
-                                                 double threshold) const;
-
   int size() const { return static_cast<int>(entries_.size()); }
 
   // Stored encoding of entry `index`, materialized from the packed column
@@ -234,8 +227,8 @@ class SearchIndex {
     int index = 0;
   };
 
-  // Per-query sweep state: the encoded query plus the exact-prune cut
-  // derived from its callee-nearest seed entries.
+  // Per-query sweep state: the encoded query, its floor policy, and the
+  // exact-prune cut derived from that floor.
   struct QueryPlan;
 
   // Entries staged by a snapshot load before committing to the index.
@@ -244,30 +237,20 @@ class SearchIndex {
     std::vector<double> columns;  // meta.size() columns, dim doubles each
   };
 
-  // Old-path scorer for the reference implementations. Entry encodings are
-  // materialized from the packed columns once per sweep (same doubles, so
-  // the scores carry the same bits as the row-per-entry original).
-  std::vector<nn::Matrix> MaterializeEncodings() const;
-  SearchHit ScoreEntryReference(const nn::Matrix& query_encoding,
-                                int query_callees,
-                                const nn::Matrix& entry_encoding,
-                                int index) const;
-  std::vector<SearchHit> ScoredReference(
-      const FunctionFeature& query,
-      const std::vector<nn::Matrix>& entry_encodings) const;
+  // Encodes a dispatch batch in parallel into fresh plans (encoding and
+  // callee count set; the caller sets the floor policy). `stats`, when
+  // non-null, must be sized to the batch and receives each encode time.
+  std::vector<QueryPlan> EncodeBatch(
+      const std::vector<const FunctionFeature*>& queries,
+      std::vector<QuerySearchStats>* stats) const;
 
-  // Shared pruned/blocked sweep cores (encodings already computed). `stats`
-  // (nullable) receives per-query pair counts and the shared sweep time;
-  // the caller must have sized it to the batch.
-  std::vector<std::vector<SearchHit>> TopKOnEncodings(
-      const std::vector<nn::Matrix>& encodings,
-      const std::vector<int>& callees,
-      const std::vector<std::size_t>& keeps,
-      std::vector<QuerySearchStats>* stats = nullptr) const;
-  std::vector<std::vector<SearchHit>> AboveThresholdOnEncodings(
-      const std::vector<nn::Matrix>& encodings,
-      const std::vector<int>& callees,
-      const std::vector<double>& thresholds,
+  // The one pruned/blocked sweep behind every query path. Plans arrive with
+  // encoding, callees and floor policy set; the sweep derives seeds and the
+  // distance cut, scores, and merges. `stats` (nullable) receives per-query
+  // pair counts and the shared sweep time; the caller must have sized it
+  // to the batch.
+  std::vector<std::vector<SearchHit>> Sweep(
+      std::vector<QueryPlan>* plans,
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
   // Rebuilds the callee-count-sorted side index if entries changed since

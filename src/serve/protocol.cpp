@@ -207,6 +207,14 @@ bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
       version != kProtocolVersionV1) {
     version = kProtocolVersion;
   }
+  // Every reader rejects an over-cap frame as kBad, so refuse it here,
+  // before any byte goes out: the stream stays framed.
+  if (payload.size() > kMaxFramePayload) {
+    *error = "payload of " + std::to_string(payload.size()) +
+             " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+             "-byte frame cap";
+    return false;
+  }
   const std::size_t header_size = version == kProtocolVersion
                                       ? kFrameHeaderSizeV3
                                   : version == kProtocolVersionV2

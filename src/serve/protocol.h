@@ -176,7 +176,9 @@ ReadStatus ReadFrame(int fd, FrameType* type,
 // replies echo it). The daemon passes the version of the request being
 // answered so a v1/v2 peer receives replies it can parse; an unknown
 // version falls back to v3. Returns false on any short or failed write
-// (e.g. the peer vanished); writing never raises SIGPIPE.
+// (e.g. the peer vanished); writing never raises SIGPIPE. A payload above
+// kMaxFramePayload is refused before any byte is written, so the stream
+// stays framed.
 bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
                 std::string* error, std::uint64_t deadline_ms = 0,
                 std::uint64_t trace_id = 0,

@@ -919,67 +919,57 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
   static thread_local std::vector<core::SearchIndex::QuerySearchStats>
       live_stats;
   live_stats.assign(live.size(), core::SearchIndex::QuerySearchStats{});
-  std::vector<const core::FunctionFeature*> topk_queries;
-  std::vector<int> topk_ks;
-  std::vector<std::size_t> topk_slots;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const Request& req = live[i];
-    if (req.type == FrameType::kTopK) {
-      topk_queries.push_back(&req.query);
-      topk_ks.push_back(req.k);
-      topk_slots.push_back(i);
-    }
-  }
+  // One scoring pass per query kind — TopK first, then AboveThreshold —
+  // each answered before the next kind is scored. A reply the frame cap
+  // cannot carry (a huge k, or a low threshold on a large index) is
+  // answered with a kError naming the hit count instead: no reader could
+  // accept the oversized frame, and the connection stays usable.
   static thread_local std::vector<core::SearchIndex::QuerySearchStats>
-      topk_stats;
-  const std::vector<std::vector<core::SearchHit>> topk_results =
-      index->TopKBatch(topk_queries, topk_ks, &topk_stats);
-  for (std::size_t j = 0; j < topk_slots.size(); ++j) {
-    const std::size_t slot = topk_slots[j];
-    Request& req = live[slot];
-    live_stats[slot] = topk_stats[j];
-    store::ChunkBuilder reply;
-    PutHits(req.id, topk_results[j], &reply);
-    if (fp_slow_reply.ShouldFail()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      kind_stats;
+  for (const FrameType kind :
+       {FrameType::kTopK, FrameType::kAboveThreshold}) {
+    std::vector<const core::FunctionFeature*> queries;
+    std::vector<int> ks;
+    std::vector<double> thresholds;
+    std::vector<std::size_t> slots;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      const Request& req = live[i];
+      if (req.type != kind) continue;
+      queries.push_back(&req.query);
+      ks.push_back(req.k);
+      thresholds.push_back(req.threshold);
+      slots.push_back(i);
     }
-    const std::int64_t reply_start = util::TraceNowNanos();
-    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id,
-                                      req.wire_version);
-    req.reply_nanos =
-        static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
-    if (req.replied) c_replies.Increment();
-  }
-  std::vector<const core::FunctionFeature*> at_queries;
-  std::vector<double> at_thresholds;
-  std::vector<std::size_t> at_slots;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const Request& req = live[i];
-    if (req.type == FrameType::kAboveThreshold) {
-      at_queries.push_back(&req.query);
-      at_thresholds.push_back(req.threshold);
-      at_slots.push_back(i);
+    const std::vector<std::vector<core::SearchHit>> results =
+        kind == FrameType::kTopK
+            ? index->TopKBatch(queries, ks, &kind_stats)
+            : index->AboveThresholdBatch(queries, thresholds, &kind_stats);
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      const std::size_t slot = slots[j];
+      Request& req = live[slot];
+      live_stats[slot] = kind_stats[j];
+      store::ChunkBuilder reply;
+      PutHits(req.id, results[j], &reply);
+      if (fp_slow_reply.ShouldFail()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      const std::int64_t reply_start = util::TraceNowNanos();
+      if (reply.size() > kMaxFramePayload) {
+        req.conn->SendError(
+            req.id,
+            std::to_string(results[j].size()) + " hits need a " +
+                std::to_string(reply.size()) + "-byte reply, over the " +
+                std::to_string(kMaxFramePayload) +
+                "-byte frame cap; raise the threshold or lower k",
+            req.trace_id, req.wire_version);
+      } else {
+        req.replied = req.conn->SendFrame(FrameType::kHits, reply,
+                                          req.trace_id, req.wire_version);
+      }
+      req.reply_nanos =
+          static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
+      if (req.replied) c_replies.Increment();
     }
-  }
-  static thread_local std::vector<core::SearchIndex::QuerySearchStats>
-      at_stats;
-  const std::vector<std::vector<core::SearchHit>> at_results =
-      index->AboveThresholdBatch(at_queries, at_thresholds, &at_stats);
-  for (std::size_t j = 0; j < at_slots.size(); ++j) {
-    const std::size_t slot = at_slots[j];
-    Request& req = live[slot];
-    live_stats[slot] = at_stats[j];
-    store::ChunkBuilder reply;
-    PutHits(req.id, at_results[j], &reply);
-    if (fp_slow_reply.ShouldFail()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    const std::int64_t reply_start = util::TraceNowNanos();
-    req.replied = req.conn->SendFrame(FrameType::kHits, reply, req.trace_id,
-                                      req.wire_version);
-    req.reply_nanos =
-        static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);
-    if (req.replied) c_replies.Increment();
   }
   const std::uint64_t elapsed =
       static_cast<std::uint64_t>(timer.ElapsedNanos());
@@ -993,8 +983,9 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     util::RequestRecord record;
     record.trace_id = req.trace_id;
     record.op = QueryOpName(req.type);
-    // A send that failed means the client vanished mid-reply; the record
-    // says so instead of claiming a clean answer.
+    // A send that failed means the client vanished mid-reply, and an
+    // over-cap reply was answered kError; the record says so instead of
+    // claiming a clean answer.
     record.outcome = req.replied ? util::RequestOutcome::kOk
                                  : util::RequestOutcome::kError;
     record.batch_size = static_cast<std::uint32_t>(live.size());

@@ -1,13 +1,14 @@
 // Differential tests for the packed/pruned SearchIndex query paths.
 //
 // The contract under test is bitwise identity: TopK, TopKBatch,
-// AboveThreshold, and AboveThresholdBatch — the blocked-GEMM sweep with the
-// exact callee-distance prefilter — must return the same hits, the same
-// scores (bit for bit), and the same order as the brute-force references
-// (TopKReference/AboveThresholdReference), at every thread count, on
-// monolithic and sharded indexes, for both siamese heads, and on
-// adversarial callee-count distributions where the prune is either useless
-// (all counts equal) or maximally aggressive (extreme spread).
+// AboveThreshold, and AboveThresholdBatch — the one blocked-GEMM sweep with
+// the exact callee-distance prefilter, under its keep-k and threshold floor
+// policies — must return the same hits, the same scores (bit for bit), and
+// the same order as the brute-force oracle (tests/search_oracle.h), at
+// every thread count, on monolithic and sharded indexes, for both siamese
+// heads, and on adversarial callee-count distributions where the prune is
+// either useless (all counts equal) or maximally aggressive (extreme
+// spread). Per-query pair accounting is checked alongside.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +18,9 @@
 
 #include "core/asteria.h"
 #include "core/search_index.h"
+#include "search_oracle.h"
 #include "store/manifest.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace asteria::core {
@@ -81,24 +84,40 @@ void FillSynthetic(SearchIndex* index, const AsteriaModel& model, int n,
   }
 }
 
-// Bitwise hit-list equality: same entries, same order, same score bits.
-void ExpectSameHits(const std::vector<SearchHit>& got,
-                    const std::vector<SearchHit>& want,
-                    const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].index, want[i].index) << label << " hit " << i;
-    EXPECT_EQ(got[i].name, want[i].name) << label << " hit " << i;
-    // Bitwise, not approximate: the pruned/blocked sweep must replay the
-    // exact reference arithmetic.
-    EXPECT_EQ(got[i].score, want[i].score) << label << " hit " << i;
+std::uint64_t CounterValueOf(const std::string& name) {
+  for (const util::CounterValue& counter : util::SnapshotMetrics().counters) {
+    if (counter.name == name) return counter.value;
   }
+  return 0;
+}
+
+// Per-query pair accounting of one batch call: query i accounts for exactly
+// want_pairs[i] pairs as scored or pruned (every entry when it scores at
+// all, none for k = 0), and the batch totals equal the search.scored_pairs
+// / search.pruned_pairs counter deltas since the given baselines.
+void ExpectPairAccounting(
+    const std::vector<SearchIndex::QuerySearchStats>& stats,
+    const std::vector<std::uint64_t>& want_pairs, std::uint64_t scored_before,
+    std::uint64_t pruned_before, const std::string& label) {
+  ASSERT_EQ(stats.size(), want_pairs.size()) << label;
+  std::uint64_t scored = 0, pruned = 0;
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(stats[i].scored_pairs + stats[i].pruned_pairs, want_pairs[i])
+        << label << " query " << i;
+    scored += stats[i].scored_pairs;
+    pruned += stats[i].pruned_pairs;
+  }
+  EXPECT_EQ(CounterValueOf("search.scored_pairs") - scored_before, scored)
+      << label;
+  EXPECT_EQ(CounterValueOf("search.pruned_pairs") - pruned_before, pruned)
+      << label;
 }
 
 // Runs the full differential battery for one index + query set: TopK and
-// AboveThreshold against their references, batch against single, at thread
-// counts 1, 2, and 8.
-void RunDifferential(SearchIndex* index,
+// AboveThreshold against the oracle, batch against single, and the batch
+// pair accounting, at thread counts 1, 2, and 8. The TopK batch carries one
+// extra k = 0 query, which must score nothing.
+void RunDifferential(SearchIndex* index, const AsteriaModel& model,
                      const std::vector<FunctionFeature>& queries, int k,
                      double threshold, const std::string& label) {
   // References are computed once (they are thread-count invariant too, but
@@ -106,27 +125,52 @@ void RunDifferential(SearchIndex* index,
   index->set_threads(1);
   std::vector<std::vector<SearchHit>> want_topk, want_above;
   for (const FunctionFeature& q : queries) {
-    want_topk.push_back(index->TopKReference(q, k));
-    want_above.push_back(index->AboveThresholdReference(q, threshold));
+    want_topk.push_back(oracle::TopKReference(*index, model, q, k));
+    want_above.push_back(
+        oracle::AboveThresholdReference(*index, model, q, threshold));
   }
+  const std::uint64_t n = static_cast<std::uint64_t>(index->size());
   for (int threads : {1, 2, 8}) {
     index->set_threads(threads);
     const std::string tag = label + " threads=" + std::to_string(threads);
     std::vector<const FunctionFeature*> ptrs;
     for (const FunctionFeature& q : queries) ptrs.push_back(&q);
-    const std::vector<int> ks(queries.size(), k);
     const std::vector<double> thresholds(queries.size(), threshold);
-    const auto got_topk_batch = index->TopKBatch(ptrs, ks);
-    const auto got_above_batch = index->AboveThresholdBatch(ptrs, thresholds);
+    std::vector<int> ks(queries.size(), k);
+    std::vector<std::uint64_t> topk_pairs(queries.size(), n);
+    std::vector<const FunctionFeature*> topk_ptrs = ptrs;
+    topk_ptrs.push_back(&queries[0]);
+    ks.push_back(0);
+    topk_pairs.push_back(0);
+
+    std::vector<SearchIndex::QuerySearchStats> stats;
+    std::uint64_t scored0 = CounterValueOf("search.scored_pairs");
+    std::uint64_t pruned0 = CounterValueOf("search.pruned_pairs");
+    const auto got_topk_batch = index->TopKBatch(topk_ptrs, ks, &stats);
+    ExpectPairAccounting(stats, topk_pairs, scored0, pruned0,
+                         tag + " topk-batch");
+    EXPECT_TRUE(got_topk_batch.back().empty()) << tag << " k=0";
+
+    scored0 = CounterValueOf("search.scored_pairs");
+    pruned0 = CounterValueOf("search.pruned_pairs");
+    const auto got_above_batch =
+        index->AboveThresholdBatch(ptrs, thresholds, &stats);
+    ExpectPairAccounting(stats, std::vector<std::uint64_t>(queries.size(), n),
+                         scored0, pruned0, tag + " above-batch");
+
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const std::string qtag = tag + " query=" + std::to_string(i);
-      ExpectSameHits(index->TopK(queries[i], k), want_topk[i],
-                     qtag + " topk");
-      ExpectSameHits(got_topk_batch[i], want_topk[i], qtag + " topk-batch");
-      ExpectSameHits(index->AboveThreshold(queries[i], threshold),
-                     want_above[i], qtag + " above");
-      ExpectSameHits(got_above_batch[i], want_above[i],
-                     qtag + " above-batch");
+      EXPECT_EQ(oracle::HitsMismatch(index->TopK(queries[i], k), want_topk[i]),
+                "")
+          << qtag << " topk";
+      EXPECT_EQ(oracle::HitsMismatch(got_topk_batch[i], want_topk[i]), "")
+          << qtag << " topk-batch";
+      EXPECT_EQ(oracle::HitsMismatch(
+                    index->AboveThreshold(queries[i], threshold), want_above[i]),
+                "")
+          << qtag << " above";
+      EXPECT_EQ(oracle::HitsMismatch(got_above_batch[i], want_above[i]), "")
+          << qtag << " above-batch";
     }
   }
 }
@@ -139,7 +183,7 @@ TEST(SearchIndexTest, EdgeCases) {
 
   // Empty index: every path returns empty.
   EXPECT_TRUE(index.TopK(query, 5).empty());
-  EXPECT_TRUE(index.TopKReference(query, 5).empty());
+  EXPECT_TRUE(oracle::TopKReference(index, model, query, 5).empty());
   EXPECT_TRUE(index.AboveThreshold(query, 0.0).empty());
   std::vector<const FunctionFeature*> one{&query};
   EXPECT_TRUE(index.TopKBatch(one, {5})[0].empty());
@@ -188,7 +232,9 @@ TEST(SearchIndexTest, IdenticalScoresTiebreakByInsertionIndex) {
     EXPECT_EQ(top[static_cast<std::size_t>(i)].index, i);
     EXPECT_EQ(top[static_cast<std::size_t>(i)].score, top[0].score);
   }
-  ExpectSameHits(top, index.TopKReference(query, 5), "all-identical");
+  EXPECT_EQ(oracle::HitsMismatch(top, oracle::TopKReference(index, model,
+                                                            query, 5)),
+            "");
 }
 
 // Adversarial distribution 1: every entry has the same callee count — the
@@ -201,7 +247,7 @@ TEST(SearchIndexTest, PrefilterParityAllEqualCallees) {
   FillSynthetic(&index, model, 2500, [](int) { return 7; });
   const std::vector<FunctionFeature> queries{MakeQuery(0, 7), MakeQuery(1, 0),
                                              MakeQuery(2, 1000)};
-  RunDifferential(&index, queries, 10, 0.4, "all-equal");
+  RunDifferential(&index, model, queries, 10, 0.4, "all-equal");
 }
 
 // Adversarial distribution 2: extreme spread — callee counts span the full
@@ -225,7 +271,7 @@ TEST(SearchIndexTest, PrefilterParityExtremeSpread) {
   });
   const std::vector<FunctionFeature> queries{
       MakeQuery(0, 25), MakeQuery(1, 2000000000), MakeQuery(2, 1040)};
-  RunDifferential(&index, queries, 10, 0.3, "extreme-spread");
+  RunDifferential(&index, model, queries, 10, 0.3, "extreme-spread");
 }
 
 // Uniformly spread counts with a corpus large enough to arm the prefilter:
@@ -237,13 +283,15 @@ TEST(SearchIndexTest, PrunedSweepMatchesReferenceUniformCallees) {
   FillSynthetic(&index, model, 3000, [](int i) { return i % 64; });
   const std::vector<FunctionFeature> queries{MakeQuery(0, 10), MakeQuery(1, 63),
                                              MakeQuery(2, 0)};
-  RunDifferential(&index, queries, 25, 0.5, "uniform");
+  RunDifferential(&index, model, queries, 25, 0.5, "uniform");
   // k above the prune cap (kMaxPruneK) still matches: the sweep falls back
   // to scoring everything.
   index.set_threads(2);
   const FunctionFeature big = MakeQuery(3, 31);
-  ExpectSameHits(index.TopK(big, 600), index.TopKReference(big, 600),
-                 "uniform k=600");
+  EXPECT_EQ(oracle::HitsMismatch(index.TopK(big, 600),
+                                 oracle::TopKReference(index, model, big, 600)),
+            "")
+      << "uniform k=600";
 }
 
 // Regression head: M is a rescaled cosine that can exceed 1.0 by rounding
@@ -254,7 +302,7 @@ TEST(SearchIndexTest, RegressionHeadParity) {
   SearchIndex index(model);
   FillSynthetic(&index, model, 2200, [](int i) { return i % 16; });
   const std::vector<FunctionFeature> queries{MakeQuery(0, 8), MakeQuery(1, 15)};
-  RunDifferential(&index, queries, 12, 0.6, "regression");
+  RunDifferential(&index, model, queries, 12, 0.6, "regression");
 }
 
 // Sharded (MANI) index: two shards whose concatenation equals the
@@ -312,13 +360,13 @@ TEST(SearchIndexTest, ShardedIndexMatchesMonolithic) {
   const std::vector<FunctionFeature> queries{MakeQuery(0, 20), MakeQuery(1, 3)};
   // Sharded results differential against both its own reference and the
   // monolithic pruned path.
-  RunDifferential(&sharded, queries, 15, 0.45, "sharded");
+  RunDifferential(&sharded, model, queries, 15, 0.45, "sharded");
   for (int threads : {1, 2, 8}) {
     mono.set_threads(threads);
     sharded.set_threads(threads);
     for (const FunctionFeature& q : queries) {
-      ExpectSameHits(sharded.TopK(q, 15), mono.TopK(q, 15),
-                     "sharded-vs-mono threads=" + std::to_string(threads));
+      EXPECT_EQ(oracle::HitsMismatch(sharded.TopK(q, 15), mono.TopK(q, 15)), "")
+          << "sharded-vs-mono threads=" << threads;
     }
   }
 }
@@ -343,9 +391,14 @@ TEST(SearchIndexTest, SnapshotRoundTripPreservesPackedResults) {
     for (int r = 0; r < a.rows(); ++r) EXPECT_EQ(a(r, 0), b(r, 0));
   }
   const FunctionFeature query = MakeQuery(2, 11);
-  ExpectSameHits(loaded.TopK(query, 20), index.TopK(query, 20), "round-trip");
-  ExpectSameHits(loaded.TopK(query, 20), index.TopKReference(query, 20),
-                 "round-trip-vs-reference");
+  EXPECT_EQ(oracle::HitsMismatch(loaded.TopK(query, 20), index.TopK(query, 20)),
+            "")
+      << "round-trip";
+  EXPECT_EQ(
+      oracle::HitsMismatch(loaded.TopK(query, 20),
+                           oracle::TopKReference(index, model, query, 20)),
+      "")
+      << "round-trip-vs-reference";
 }
 
 TEST(SearchIndexTest, AddEncodedRejectsBadEncodings) {

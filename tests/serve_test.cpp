@@ -262,6 +262,18 @@ std::vector<std::uint8_t> BuildTopKFrameBytes(
                          payload, deadline_ms, trace_id);
 }
 
+std::vector<std::uint8_t> BuildAboveThresholdFrameBytes(
+    const core::FunctionFeature& query, double threshold, std::uint64_t id,
+    std::uint64_t trace_id = 0) {
+  store::ChunkBuilder payload;
+  serve::PutQuery(id, query, 0, threshold, serve::FrameType::kAboveThreshold,
+                  &payload);
+  return BuildFrameBytes(
+      serve::kServeMagic, serve::kProtocolVersion,
+      static_cast<std::uint32_t>(serve::FrameType::kAboveThreshold), payload,
+      /*deadline_ms=*/0, trace_id);
+}
+
 bool SendAll(int fd, const std::vector<std::uint8_t>& bytes) {
   std::size_t done = 0;
   while (done < bytes.size()) {
@@ -1875,6 +1887,193 @@ TEST_F(ServeTest, SlowQueryCaptureSpillsAnsweredQueries) {
     EXPECT_GT(record.scored_pairs, 0u);
     EXPECT_FALSE(record.has_deadline);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reply framing and mixed dispatch batches
+
+TEST_F(ServeTest, WriteFrameRefusesAnOverCapPayloadBeforeWriting) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  store::ChunkBuilder oversized;
+  oversized.PutString(std::string(serve::kMaxFramePayload, 'x'));
+  ASSERT_GT(oversized.size(), serve::kMaxFramePayload);
+  std::string error;
+  EXPECT_FALSE(serve::WriteFrame(fds[0], serve::FrameType::kHits, oversized,
+                                 &error));
+  EXPECT_NE(error.find(std::to_string(serve::kMaxFramePayload)),
+            std::string::npos)
+      << error;
+  // Not one byte went out: the next frame is the first on the stream.
+  store::ChunkBuilder ping;
+  serve::PutControl(/*id=*/9, &ping);
+  ASSERT_TRUE(serve::WriteFrame(fds[0], serve::FrameType::kPing, ping, &error))
+      << error;
+  serve::FrameType type = serve::FrameType::kError;
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(serve::ReadFrame(fds[1], &type, &payload, &error),
+            serve::ReadStatus::kFrame)
+      << error;
+  EXPECT_EQ(type, serve::FrameType::kPing);
+  std::uint64_t id = 0;
+  ASSERT_TRUE(serve::GetControl(payload, &id, &error)) << error;
+  EXPECT_EQ(id, 9u);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST_F(ServeTest, OverCapHitsReplyIsAnErrorAndTheConnectionSurvives) {
+  const core::AsteriaModel model(SmallModelConfig());
+  // 300 entries with 60k-character names: every hit costs ~60 KB on the
+  // wire, so matching them all needs a reply above the 16 MiB frame cap.
+  auto features = SyntheticFeatures(300, 281);
+  for (core::FunctionFeature& feature : features) {
+    feature.name += "-" + std::string(60000, 'n');
+  }
+  const std::string index_path = TempPath("serve_overcap.idx");
+  SaveIndexSnapshot(model, features, index_path);
+  core::SearchIndex reference(model);
+  std::string error;
+  ASSERT_TRUE(reference.Load(index_path, &error)) << error;
+  const std::string socket_path = TempPath("serve_overcap.sock");
+  Harness harness(model, index_path, socket_path, /*workers=*/1);
+  ASSERT_TRUE(harness.started());
+  const auto queries = SyntheticFeatures(1, 282);
+
+  const int fd = ConnectRaw(socket_path);
+  ASSERT_GE(fd, 0);
+  // Every score clears -1.0, so all 300 entries match.
+  ASSERT_TRUE(SendAll(fd, BuildAboveThresholdFrameBytes(queries[0], -1.0,
+                                                        /*id=*/11)));
+  serve::FrameType type = serve::FrameType::kPing;
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(serve::ReadFrame(fd, &type, &payload, &error),
+            serve::ReadStatus::kFrame)
+      << error;
+  ASSERT_EQ(type, serve::FrameType::kError);
+  std::uint64_t id = 0;
+  std::string message;
+  ASSERT_TRUE(serve::GetError(payload, &id, &message, &error)) << error;
+  EXPECT_EQ(id, 11u);
+  EXPECT_NE(message.find("300 hits"), std::string::npos) << message;
+  EXPECT_NE(message.find(std::to_string(serve::kMaxFramePayload)),
+            std::string::npos)
+      << message;
+
+  // Same connection, still framed: a ping and a small query both answer.
+  store::ChunkBuilder ping;
+  serve::PutControl(/*id=*/12, &ping);
+  ASSERT_TRUE(SendAll(
+      fd, BuildFrameBytes(serve::kServeMagic, serve::kProtocolVersion,
+                          static_cast<std::uint32_t>(serve::FrameType::kPing),
+                          ping)));
+  ASSERT_EQ(serve::ReadFrame(fd, &type, &payload, &error),
+            serve::ReadStatus::kFrame)
+      << error;
+  EXPECT_EQ(type, serve::FrameType::kPong);
+  ASSERT_TRUE(serve::GetControl(payload, &id, &error)) << error;
+  EXPECT_EQ(id, 12u);
+  ASSERT_TRUE(SendAll(fd, BuildTopKFrameBytes(queries[0], 3, /*id=*/13)));
+  ASSERT_EQ(serve::ReadFrame(fd, &type, &payload, &error),
+            serve::ReadStatus::kFrame)
+      << error;
+  ASSERT_EQ(type, serve::FrameType::kHits);
+  std::vector<core::SearchHit> hits;
+  ASSERT_TRUE(serve::GetHits(payload, &id, &hits, &error)) << error;
+  EXPECT_EQ(id, 13u);
+  ExpectSameHits(hits, reference.TopK(queries[0], 3));
+  ::close(fd);
+}
+
+TEST_F(ServeTest, MixedTopKAndAboveThresholdBatchMatchesDirectCalls) {
+  const core::AsteriaModel model(SmallModelConfig());
+  const auto features = SyntheticFeatures(30, 291);
+  const std::string index_path = TempPath("serve_mixed.idx");
+  SaveIndexSnapshot(model, features, index_path);
+  core::SearchIndex reference(model);
+  std::string error;
+  ASSERT_TRUE(reference.Load(index_path, &error)) << error;
+  const std::string socket_path = TempPath("serve_mixed.sock");
+  Harness harness(model, index_path, socket_path, /*workers=*/1,
+                  /*batch_max=*/8);
+  ASSERT_TRUE(harness.started());
+  const auto queries = SyntheticFeatures(9, 292);
+
+  // Hold the only worker on a first query, so the next eight queue up
+  // behind it and coalesce into one batch holding both kinds.
+  Arm("serve.stall_worker=once");
+  const std::uint64_t requests_before =
+      CounterValueOf(util::SnapshotMetrics(), "serve.requests");
+  const int fd = ConnectRaw(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, BuildTopKFrameBytes(queries[0], 3, /*id=*/500)));
+  AwaitCounterDelta("serve.requests", requests_before, 1);
+  // Admission counts just before the push: give the push time to land,
+  // then wait for the worker to pop the query into its stall.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  serve::Client probe;
+  ASSERT_TRUE(probe.Connect(socket_path, &error)) << error;
+  serve::HealthInfo health;
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(probe.Health(&health, &error)) << error;
+    if (health.queue_depth == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(health.queue_depth, 0u);
+
+  // Eight pipelined frames, alternating kinds, each with its own trace id.
+  constexpr std::uint64_t kTraceBase = 0x6d17ed0000000000ull;
+  std::vector<std::vector<core::SearchHit>> expected(queries.size());
+  expected[0] = reference.TopK(queries[0], 3);
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    const std::uint64_t id = 500 + i;
+    if (i % 2 == 1) {
+      const int k = 1 + static_cast<int>(i % 4);
+      expected[i] = reference.TopK(queries[i], k);
+      ASSERT_TRUE(SendAll(fd, BuildTopKFrameBytes(queries[i], k, id,
+                                                  /*deadline_ms=*/0,
+                                                  kTraceBase + i)));
+    } else {
+      const double threshold = 0.1 * static_cast<double>(i);
+      expected[i] = reference.AboveThreshold(queries[i], threshold);
+      ASSERT_TRUE(SendAll(fd, BuildAboveThresholdFrameBytes(
+                                  queries[i], threshold, id, kTraceBase + i)));
+    }
+  }
+  // One kHits per correlation id, bitwise equal to the direct call.
+  std::vector<bool> seen(queries.size(), false);
+  for (std::size_t r = 0; r < queries.size(); ++r) {
+    serve::FrameType type = serve::FrameType::kPing;
+    std::vector<std::uint8_t> payload;
+    ASSERT_EQ(serve::ReadFrame(fd, &type, &payload, &error),
+              serve::ReadStatus::kFrame)
+        << error;
+    ASSERT_EQ(type, serve::FrameType::kHits);
+    std::uint64_t id = 0;
+    std::vector<core::SearchHit> hits;
+    ASSERT_TRUE(serve::GetHits(payload, &id, &hits, &error)) << error;
+    ASSERT_GE(id, 500u);
+    ASSERT_LT(id - 500, queries.size());
+    EXPECT_FALSE(seen[id - 500]) << "id " << id << " answered twice";
+    seen[id - 500] = true;
+    ExpectSameHits(hits, expected[id - 500]);
+  }
+  ::close(fd);
+
+  // The eight queued queries really were dispatched as one mixed batch.
+  int batched = 0;
+  for (int poll = 0; poll < 500 && batched < 8; ++poll) {
+    batched = 0;
+    for (const util::RequestRecord& record :
+         util::GlobalRequestLog().Snapshot()) {
+      if (record.trace_id > kTraceBase && record.trace_id <= kTraceBase + 8) {
+        EXPECT_EQ(record.batch_size, 8u) << record.op;
+        ++batched;
+      }
+    }
+    if (batched < 8) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(batched, 8);
 }
 
 }  // namespace
