@@ -6,6 +6,10 @@
 # free. robustness_test's corruption sweep (byte flips and truncations of
 # every container kind) runs here under ASan/UBSan so "fails cleanly" also
 # means no out-of-bounds read on adversarial inputs (docs/ROBUSTNESS.md).
+# The address build also carries UBSan (-fsanitize=undefined, no
+# recovery), so the same sweeps fail on signed overflow, bad shifts or
+# out-of-range conversions — e.g. a hostile wire deadline_ms that would
+# overflow the daemon's clock arithmetic unclamped.
 # metrics_test hammers the striped counters/histograms and trace spans from
 # ParallelFor workers while snapshots race the writers (docs/OBSERVABILITY.md).
 # serve_test runs the asteria-serve daemon in-process — hostile-frame sweep,
@@ -36,8 +40,14 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build-${SANITIZER/thread/tsan}"
 BUILD="${BUILD/address/asan}"
 
+EXTRA_FLAGS=""
+if [ "$SANITIZER" = address ]; then
+  EXTRA_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined"
+fi
+
 cmake -S "$ROOT" -B "$BUILD" -DASTERIA_SANITIZE="$SANITIZER" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS="$EXTRA_FLAGS" \
+      >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target \
       util_test determinism_test core_test dataset_test store_test \
       search_index_test robustness_test fast_encoder_test metrics_test \
@@ -47,6 +57,7 @@ cmake --build "$BUILD" -j "$(nproc)" --target \
 # even if the race would not otherwise crash the test.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=0"
+export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 
 for test in util_test determinism_test core_test dataset_test store_test \
             search_index_test robustness_test fast_encoder_test metrics_test \

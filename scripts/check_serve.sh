@@ -12,7 +12,8 @@
 #      (*batch*: how requests coalesced) and the span profile are dropped
 #      wholesale — their counts depend on arrival timing by design;
 #   3. asserts the snapshot observed the session: nonzero serve.accepted,
-#      serve.requests, serve.replies, serve.reloads, and zero serve.errors /
+#      serve.requests, serve.replies, serve.reloads, serve.reload_shards_read
+#      (the INDX reload reads its one file), and zero serve.errors /
 #      serve.bad_frames on this well-formed session.
 #
 # Usage: scripts/check_serve.sh [build-dir]   (default: build)
@@ -101,7 +102,7 @@ counter() {
   grep -oE "\"$2\": [0-9]+" "$1" | grep -oE '[0-9]+$' || echo 0
 }
 for name in 'serve\.accepted' 'serve\.requests' 'serve\.replies' \
-            'serve\.reloads'; do
+            'serve\.reloads' 'serve\.reload_shards_read'; do
   VALUE="$(counter "$WORK/m1.json" "$name")"
   [ "$VALUE" -gt 0 ] \
     || { echo "FAIL: counter $name is zero or missing" >&2; exit 1; }

@@ -876,12 +876,31 @@ void SearchIndex::CommitStaged(StagedEntries&& staged) {
   MarkSideIndexDirty();
 }
 
+void SearchIndex::ReplaceEntries(const SearchIndex* base, std::size_t reused,
+                                 StagedEntries&& staged) {
+  // Built aside and moved in, so `base` may be this index itself.
+  std::vector<EntryMeta> entries;
+  entries.reserve(reused + staged.meta.size());
+  PackedColumns packed;
+  packed.Reset(hidden_dim_);
+  for (std::size_t i = 0; i < reused; ++i) {
+    entries.push_back(base->entries_[i]);
+    std::memcpy(packed.AppendColumn(),
+                base->packed_.Column(static_cast<std::int64_t>(i)),
+                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
+  }
+  entries_ = std::move(entries);
+  packed_ = std::move(packed);
+  CommitStaged(std::move(staged));
+}
+
 bool SearchIndex::Load(const std::string& path, std::string* error) {
   StagedEntries staged;
   if (!LoadEntriesFrom(path, &staged, error)) return false;
-  entries_.clear();
-  packed_.Reset(hidden_dim_);
-  CommitStaged(std::move(staged));
+  ReplaceEntries(nullptr, 0, std::move(staged));
+  source_ = Source{};
+  shards_reused_ = 0;
+  shards_read_ = 1;
   return true;
 }
 
@@ -895,7 +914,7 @@ bool SearchIndex::LoadAppend(const std::string& path, std::string* error) {
 }
 
 bool SearchIndex::OpenSharded(const std::string& manifest_path,
-                              std::string* error) {
+                              std::string* error, const SearchIndex* base) {
   store::ShardManifest manifest;
   if (!LoadManifest(&manifest, manifest_path, error)) return false;
   if (manifest.model_fingerprint != model_.WeightsFingerprint()) {
@@ -906,8 +925,25 @@ bool SearchIndex::OpenSharded(const std::string& manifest_path,
     return false;
   }
   const std::string dir = store::DirOf(manifest_path);
+  // The shared prefix: records `base` was opened from that the manifest
+  // still names, unchanged, in the same positions. Their entries lead
+  // `base` and were CRC- and entry-count-checked when first read.
+  std::size_t reused_shards = 0;
+  std::size_t reused_entries = 0;
+  if (base != nullptr && base->source_.dir == dir &&
+      base->source_.fingerprint == manifest.model_fingerprint &&
+      base->hidden_dim_ == hidden_dim_) {
+    const std::vector<store::ShardRecord>& had = base->source_.shards;
+    while (reused_shards < had.size() &&
+           reused_shards < manifest.shards.size() &&
+           had[reused_shards] == manifest.shards[reused_shards]) {
+      reused_entries += had[reused_shards].entries;
+      ++reused_shards;
+    }
+  }
   StagedEntries staged;
-  for (const store::ShardRecord& shard : manifest.shards) {
+  for (std::size_t s = reused_shards; s < manifest.shards.size(); ++s) {
+    const store::ShardRecord& shard = manifest.shards[s];
     const std::size_t before = staged.meta.size();
     if (!LoadEntriesFrom(dir + "/" + shard.file, &staged, error)) {
       return false;
@@ -921,21 +957,19 @@ bool SearchIndex::OpenSharded(const std::string& manifest_path,
       return false;
     }
   }
-  entries_.clear();
-  packed_.Reset(hidden_dim_);
-  CommitStaged(std::move(staged));
+  ReplaceEntries(base, reused_entries, std::move(staged));
+  shards_reused_ = static_cast<int>(reused_shards);
+  shards_read_ = static_cast<int>(manifest.shards.size() - reused_shards);
+  source_ = Source{dir, manifest.model_fingerprint, std::move(manifest.shards)};
   return true;
 }
 
-bool SearchIndex::Open(const std::string& path, std::string* error) {
+bool SearchIndex::Open(const std::string& path, std::string* error,
+                       const SearchIndex* base) {
   std::uint32_t kind = 0;
-  {
-    store::Reader reader;
-    if (!reader.Open(path, 0, error)) return false;
-    kind = reader.kind();
-  }
+  if (!store::PeekKind(path, &kind, error)) return false;
   if (kind == store::kKindIndex) return Load(path, error);
-  if (kind == store::kKindManifest) return OpenSharded(path, error);
+  if (kind == store::kKindManifest) return OpenSharded(path, error, base);
   *error = path + ": " + store::FourCcName(kind) +
            " container is neither an INDX snapshot nor a MANI manifest";
   return false;

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "core/asteria.h"
+#include "store/manifest.h"
 #include "util/pipeline_report.h"
 
 namespace asteria::core {
@@ -179,13 +180,30 @@ class SearchIndex {
   // the result is bitwise identical to a monolithic snapshot holding the
   // same entries, at any thread count. Fails (index untouched) on a
   // missing/corrupt manifest or shard, or a model fingerprint mismatch.
-  bool OpenSharded(const std::string& manifest_path, std::string* error);
+  //
+  // `base` (nullable, may be `this`) is an index opened earlier — the live
+  // asteria-serve snapshot on a reload. The longest prefix of shard records
+  // that `base` was opened from and the new manifest share (same directory
+  // and weights fingerprint; identical file, entries, bytes, created_seq
+  // and sources) is copied from `base` in memory, and only the shards after
+  // it are read from disk. Published shards are immutable, so a reused
+  // shard holds exactly the entries re-reading it would yield. A null base,
+  // or one sharing no prefix (compaction, a wiped and re-ingested
+  // directory, a fingerprint change, an INDX base), reads every shard.
+  bool OpenSharded(const std::string& manifest_path, std::string* error,
+                   const SearchIndex* base = nullptr);
 
-  // Kind-sniffing open: dispatches on the container kind at `path` — an
-  // INDX snapshot goes through Load, a MANI manifest through OpenSharded.
-  // This is what asteria-serve and index-query call, so both accept either
-  // artifact transparently.
-  bool Open(const std::string& path, std::string* error);
+  // Kind-sniffing open: dispatches on the container kind at `path` (read
+  // from the header alone) — an INDX snapshot goes through Load, a MANI
+  // manifest through OpenSharded with `base`. This is what asteria-serve
+  // and index-query call, so both accept either artifact transparently.
+  bool Open(const std::string& path, std::string* error,
+            const SearchIndex* base = nullptr);
+
+  // Shards the last successful Load/OpenSharded/Open took from its base
+  // versus read from disk. An INDX snapshot counts as one shard read.
+  int shards_reused() const { return shards_reused_; }
+  int shards_read() const { return shards_read_; }
 
  private:
   // Per-entry metadata; the encoding itself lives in `packed_`.
@@ -262,6 +280,10 @@ class SearchIndex {
   }
 
   void CommitStaged(StagedEntries&& staged);
+  // Replaces every entry with `base`'s first `reused` entries followed by
+  // `staged` (base may be null when reused == 0, or `this`).
+  void ReplaceEntries(const SearchIndex* base, std::size_t reused,
+                      StagedEntries&& staged);
   bool LoadEntriesFrom(const std::string& path, StagedEntries* out,
                        std::string* error) const;
 
@@ -270,6 +292,19 @@ class SearchIndex {
   int hidden_dim_ = 0;
   std::vector<EntryMeta> entries_;
   PackedColumns packed_;
+
+  // The manifest the leading entries were opened from: its directory, its
+  // weights fingerprint and its shard records, in order. Empty after an
+  // INDX load or for an index built in memory; later appends (Add,
+  // LoadAppend) leave the leading entries, and so this record, valid.
+  struct Source {
+    std::string dir;
+    std::uint32_t fingerprint = 0;
+    std::vector<store::ShardRecord> shards;
+  };
+  Source source_;
+  int shards_reused_ = 0;
+  int shards_read_ = 0;
 
   // Callee-count-sorted side index, rebuilt lazily on the first query after
   // a mutation: side_order_ holds entry indices sorted by (callee_count,

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -160,7 +161,9 @@ ReadStatus ReadFrame(int fd, FrameType* type,
       *error = "short read inside frame header (peer closed or I/O error)";
       return ReadStatus::kBad;
     }
-    if (deadline_ms != nullptr) *deadline_ms = GetLe64(header + 24);
+    if (deadline_ms != nullptr) {
+      *deadline_ms = std::min(GetLe64(header + 24), kMaxDeadlineMs);
+    }
     if (trace_id != nullptr && version == kProtocolVersion) {
       *trace_id = GetLe64(header + 32);
     }

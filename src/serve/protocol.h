@@ -63,6 +63,13 @@ inline constexpr std::uint32_t kFrameHeaderSizeV3 = 40;
 // the cap bounds what one hostile frame can make the daemon buffer.
 inline constexpr std::uint64_t kMaxFramePayload = 16ull * 1024 * 1024;
 
+// Ceiling on a header's deadline_ms: ReadFrame clamps larger values (up to
+// 0xFFFFFFFFFFFFFFFF) to 30 days. A budget that long never expires in
+// practice, and under it both the server's steady_clock deadline (now +
+// milliseconds) and its nanosecond slack (ms * 1000000) stay far inside
+// int64 — an unclamped hostile value would overflow both.
+inline constexpr std::uint64_t kMaxDeadlineMs = 30ull * 24 * 60 * 60 * 1000;
+
 enum class FrameType : std::uint32_t {
   // Requests.
   kTopK = 1,            // id, name, callee_count, k, tree

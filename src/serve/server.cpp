@@ -44,8 +44,8 @@ util::Failpoint fp_slow_reply("serve.slow_reply");
 
 // Deterministic slice (counts depend only on the session's requests, never
 // on worker count or timing): accepted, requests, queries, replies, errors,
-// reloads, index_size. Batch shapes and latencies are timing-dependent;
-// scripts/check_serve.sh filters those.
+// reloads, reload shard split, index_size. Batch shapes and latencies are
+// timing-dependent; scripts/check_serve.sh filters those.
 util::Counter c_accepted("serve.accepted");
 util::Counter c_accept_dropped("serve.accept_dropped");
 util::Counter c_requests("serve.requests");
@@ -56,6 +56,10 @@ util::Counter c_bad_frames("serve.bad_frames");
 util::Counter c_read_failures("serve.read_failures");
 util::Counter c_write_failures("serve.write_failures");
 util::Counter c_reloads("serve.reloads");
+// Per reload, the shards copied from the live snapshot versus read from
+// disk (an INDX snapshot is one shard read): which reload path ran.
+util::Counter c_reload_shards_reused("serve.reload_shards_reused");
+util::Counter c_reload_shards_read("serve.reload_shards_read");
 // Request-lifecycle counters (zero on a well-behaved session; the chaos
 // gate drives each one deterministically — scripts/check_chaos.sh).
 util::Counter c_shed("serve.shed");
@@ -282,20 +286,29 @@ bool Server::Reload(std::string* error) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   auto fresh = std::make_shared<core::SearchIndex>(
       model_, config_.score_threads < 1 ? 1 : config_.score_threads);
-  if (!fresh->Open(config_.index_path, error)) return false;
+  // The live snapshot is the base: shards it already holds are copied from
+  // memory and only the ones the manifest appended since are read. It is
+  // only read here, so batches pinned on it keep scoring undisturbed.
+  if (!fresh->Open(config_.index_path, error, snapshot().get())) return false;
   if (fp_swap.ShouldFail()) {
     // Delay, don't fail: hold the fully built replacement unpublished so
     // swap-under-load tests get a wide window where queries race the swap.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  g_index_size.Set(fresh->size());
+  const int entries = fresh->size();
+  const int reused = fresh->shards_reused();
+  const int read = fresh->shards_read();
+  g_index_size.Set(entries);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(fresh);
   }
   c_reloads.Increment();
+  c_reload_shards_reused.Add(static_cast<std::uint64_t>(reused));
+  c_reload_shards_read.Add(static_cast<std::uint64_t>(read));
   ASTERIA_LOG(Info) << "asteria-serve: reloaded " << config_.index_path
-                    << " (" << snapshot()->size() << " entries)";
+                    << " (" << entries << " entries, " << reused
+                    << " shards reused, " << read << " read)";
   return true;
 }
 

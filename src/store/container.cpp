@@ -545,6 +545,22 @@ bool IsContainerFile(const std::string& path) {
   return matches;
 }
 
+bool PeekKind(const std::string& path, std::uint32_t* kind,
+              std::string* error) {
+  std::FILE* file =
+      fp_read_open.ShouldFail() ? nullptr : std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    *error = path + ": cannot open for reading";
+    return false;
+  }
+  std::array<std::uint8_t, kHeaderSize> header;
+  const std::size_t got = std::fread(header.data(), 1, header.size(), file);
+  std::fclose(file);
+  std::uint32_t version = 0;
+  return ParseHeader(path, header.data(), got, /*expected_kind=*/0, &version,
+                     kind, error);
+}
+
 bool QuarantineFile(const std::string& path, std::string* quarantined_path) {
   const std::string target = path + ".corrupt";
   std::remove(target.c_str());  // only the latest quarantine is kept

@@ -191,6 +191,13 @@ class Reader {
 // format when loading model weights).
 bool IsContainerFile(const std::string& path);
 
+// Reads only the 20-byte header at `path` and validates it with the same
+// checks as Reader::Open (magic, version, endianness); fills `kind` with its
+// fourcc. No chunk is scanned, so a kind-dispatching opener can leave the
+// single framing scan to the loader it dispatches to.
+bool PeekKind(const std::string& path, std::uint32_t* kind,
+              std::string* error);
+
 // Moves a corrupt artifact aside to "<path>.corrupt" (replacing any
 // previous quarantine) so cache loaders can rebuild from source without
 // re-reading — or silently deleting — the bad bytes. Returns true when the

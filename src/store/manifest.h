@@ -42,6 +42,8 @@ struct ShardRecord {
   std::uint64_t bytes = 0;       // shard file size when published
   std::uint64_t created_seq = 0; // publish sequence that created the data
   std::vector<std::uint64_t> sources;  // digests of the folded-in images
+
+  bool operator==(const ShardRecord&) const = default;
 };
 
 struct ShardManifest {

@@ -1,6 +1,6 @@
 // Streaming-ingest test net (docs/ARCHITECTURE.md "Incremental ingest").
 //
-// Four contracts are pinned here:
+// Five contracts are pinned here:
 //  1. Shard equivalence: an index assembled from per-image shards via
 //     OpenSharded answers TopK/TopKBatch bitwise identical to a monolithic
 //     index built from the same functions, at thread counts 1/2/8 — and the
@@ -19,6 +19,11 @@
 //     a stale FENC cache and rebuilds it; delta vuln search scans only the
 //     shards above the searched_seq high-water mark; a publish pokes a
 //     live asteria-serve daemon so new entries are queryable immediately.
+//  5. Incremental reload: after every poke the daemon's served snapshot is
+//     bitwise a fresh OpenSharded of the manifest; an append-only publish
+//     reads just the new shard, while compaction and a wiped-and-reingested
+//     directory take the full load (serve.reload_shards_* counters), and a
+//     foreign-fingerprint manifest leaves the old snapshot serving.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -40,6 +45,7 @@
 #include "serve/server.h"
 #include "store/manifest.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace asteria {
 namespace {
@@ -790,6 +796,240 @@ TEST_F(IngestTest, ServeReloadPokeMakesNewShardsQueryable) {
             first_entries + more.functions_indexed);
 
   client.Close();
+  server.RequestStop();
+  runner.join();
+}
+
+// -- 5. Incremental reload ---------------------------------------------------
+
+std::uint64_t CounterValue(const std::string& name) {
+  for (const util::CounterValue& counter : util::SnapshotMetrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
+// Cumulative serve.reload_shards_{reused,read}: the deltas across one
+// reload say which path it took.
+struct ReloadSplit {
+  std::uint64_t reused = 0;
+  std::uint64_t read = 0;
+};
+
+ReloadSplit ReloadCounters() {
+  return {CounterValue("serve.reload_shards_reused"),
+          CounterValue("serve.reload_shards_read")};
+}
+
+void ExpectReloadSplit(const ReloadSplit& before, std::uint64_t reused,
+                       std::uint64_t read, const std::string& step) {
+  const ReloadSplit after = ReloadCounters();
+  EXPECT_EQ(after.reused - before.reused, reused) << step;
+  EXPECT_EQ(after.read - before.read, read) << step;
+}
+
+// The daemon's served snapshot must be bitwise the index a fresh
+// OpenSharded of the same manifest builds: entries (names, callee counts,
+// encoding bits) and TopK / AboveThreshold hits, with the fresh side at
+// threads 1, 2 and 8.
+void ExpectServedMatchesFreshOpen(
+    const core::AsteriaModel& model, const serve::Server& server,
+    const std::string& manifest_path,
+    const std::vector<core::FunctionFeature>& queries,
+    const std::string& step) {
+  const std::shared_ptr<const core::SearchIndex> served = server.snapshot();
+  std::string error;
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(step + " threads=" + std::to_string(threads));
+    core::SearchIndex fresh(model, threads);
+    ASSERT_TRUE(fresh.OpenSharded(manifest_path, &error)) << error;
+    ASSERT_EQ(served->size(), fresh.size());
+    for (int i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(served->name(i), fresh.name(i)) << "entry " << i;
+      EXPECT_EQ(served->callee_count(i), fresh.callee_count(i)) << i;
+      ExpectSameEncoding(served->encoding(i), fresh.encoding(i));
+    }
+    for (const core::FunctionFeature& query : queries) {
+      ExpectSameHits(served->TopK(query, 5), fresh.TopK(query, 5));
+      ExpectSameHits(served->AboveThreshold(query, 0.5),
+                     fresh.AboveThreshold(query, 0.5));
+    }
+  }
+}
+
+TEST_F(IngestTest, OpenShardedAgainstBaseReadsOnlyAppendedShards) {
+  core::AsteriaModel model(SmallModelConfig());
+  const auto paths = PackImages(MakeCorpus(3, 27), TempPath("base"), 3);
+  const std::string dir = FreshDir("base_idx");
+  ingest::IngestService service(model, MakeConfig(dir));
+  std::string error;
+  ASSERT_TRUE(service.Open(&error)) << error;
+  ingest::IngestStats stats;
+  ASSERT_TRUE(service.IngestFile(paths[0], &stats, &error)) << error;
+  ASSERT_TRUE(service.IngestFile(paths[1], &stats, &error)) << error;
+
+  core::SearchIndex index(model);
+  ASSERT_TRUE(index.OpenSharded(ManifestPath(dir), &error)) << error;
+  EXPECT_EQ(index.shards_reused(), 0);
+  EXPECT_EQ(index.shards_read(), 2);
+
+  // The index may be its own base: it keeps its two shards, reads one.
+  ASSERT_TRUE(service.IngestFile(paths[2], &stats, &error)) << error;
+  ASSERT_TRUE(index.OpenSharded(ManifestPath(dir), &error, &index)) << error;
+  EXPECT_EQ(index.shards_reused(), 2);
+  EXPECT_EQ(index.shards_read(), 1);
+  core::SearchIndex fresh(model);
+  ASSERT_TRUE(fresh.OpenSharded(ManifestPath(dir), &error)) << error;
+  ASSERT_EQ(index.size(), fresh.size());
+  for (int i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(index.name(i), fresh.name(i)) << "entry " << i;
+    ExpectSameEncoding(index.encoding(i), fresh.encoding(i));
+  }
+
+  // An INDX-loaded base holds no shard records: nothing to reuse.
+  core::SearchIndex snapshot(model);
+  ASSERT_TRUE(snapshot.Load(
+      dir + "/" + service.manifest().shards[0].file, &error))
+      << error;
+  EXPECT_EQ(snapshot.shards_read(), 1);
+  core::SearchIndex from_snapshot(model);
+  ASSERT_TRUE(from_snapshot.Open(ManifestPath(dir), &error, &snapshot))
+      << error;
+  EXPECT_EQ(from_snapshot.shards_reused(), 0);
+  EXPECT_EQ(from_snapshot.shards_read(), 3);
+}
+
+TEST_F(IngestTest, IncrementalReloadMatchesFreshOpenAcrossPokesAndCompaction) {
+  core::AsteriaModel model(SmallModelConfig());
+  constexpr int kImages = 5;
+  const auto corpus = MakeCorpus(kImages, 24);
+  const auto paths = PackImages(corpus, TempPath("incr"), kImages);
+  const auto queries = ReferenceFeatures({paths[0], paths[3]}, 4, 5);
+  ASSERT_FALSE(queries.empty());
+  const std::string dir = FreshDir("incr_idx");
+  const std::string socket = TempPath("incr.sock");
+  std::string error;
+
+  ingest::IngestConfig config = MakeConfig(dir);
+  config.serve_socket = socket;
+  ingest::IngestService service(model, config);
+  ASSERT_TRUE(service.Open(&error)) << error;
+  ingest::IngestStats stats;
+  ASSERT_TRUE(service.IngestFile(paths[0], &stats, &error)) << error;
+
+  serve::ServerConfig server_config;
+  server_config.socket_path = socket;
+  server_config.index_path = ManifestPath(dir);
+  server_config.score_threads = 2;
+  serve::Server server(model, server_config);
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread runner([&server] { server.Run(); });
+
+  // Each publish pokes a reload that keeps every shard the live snapshot
+  // holds and reads exactly the one appended.
+  for (int i = 1; i < kImages; ++i) {
+    const ReloadSplit before = ReloadCounters();
+    ASSERT_TRUE(service.IngestFile(paths[static_cast<std::size_t>(i)], &stats,
+                                   &error))
+        << error;
+    const std::string step = "poke " + std::to_string(i);
+    ExpectReloadSplit(before, static_cast<std::uint64_t>(i), 1, step);
+    ExpectServedMatchesFreshOpen(model, server, ManifestPath(dir), queries,
+                                 step);
+  }
+
+  // Compaction rewrites the shard list from the first record on: nothing
+  // is shared, so the poke reads every shard of the new manifest.
+  {
+    const ReloadSplit before = ReloadCounters();
+    int merged = 0;
+    ASSERT_TRUE(service.Compact(&merged, &error)) << error;
+    ASSERT_GE(merged, 1);
+    ExpectReloadSplit(before, 0, service.manifest().shards.size(),
+                      "compaction");
+    ExpectServedMatchesFreshOpen(model, server, ManifestPath(dir), queries,
+                                 "compaction");
+  }
+
+  // A manifest published for other weights fails the reload; the live
+  // snapshot keeps serving, untouched.
+  {
+    const std::shared_ptr<const core::SearchIndex> live = server.snapshot();
+    const auto want = live->TopK(queries[0], 5);
+    store::ShardManifest foreign = service.manifest();
+    foreign.model_fingerprint ^= 1u;
+    ASSERT_TRUE(store::SaveManifest(foreign, ManifestPath(dir), &error))
+        << error;
+    const ReloadSplit before = ReloadCounters();
+    serve::Client client;
+    ASSERT_TRUE(client.Connect(socket, &error, 30)) << error;
+    EXPECT_FALSE(client.Reload(&error));
+    EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+    ExpectReloadSplit(before, 0, 0, "fingerprint mismatch");
+    EXPECT_EQ(server.snapshot(), live);
+    std::vector<core::SearchHit> hits;
+    ASSERT_TRUE(client.TopK(queries[0], 5, &hits, &error)) << error;
+    ExpectSameHits(hits, want);
+  }
+
+  server.RequestStop();
+  runner.join();
+}
+
+TEST_F(IngestTest, ReingestedDirectoryUnderSameShardNamesTakesFullReload) {
+  core::AsteriaModel model(SmallModelConfig());
+  const auto first = PackImages(MakeCorpus(2, 25), TempPath("wipe-a"), 2);
+  const auto second = PackImages(MakeCorpus(2, 26), TempPath("wipe-b"), 2);
+  const auto queries = ReferenceFeatures({first[0], second[0]}, 4, 5);
+  ASSERT_FALSE(queries.empty());
+  const std::string dir = FreshDir("wipe_idx");
+  const std::string socket = TempPath("wipe.sock");
+  std::string error;
+
+  store::ShardManifest served_from;
+  {
+    ingest::IngestService service(model, MakeConfig(dir));
+    ASSERT_TRUE(service.Open(&error)) << error;
+    ingest::IngestStats stats;
+    for (const std::string& path : first) {
+      ASSERT_TRUE(service.IngestFile(path, &stats, &error)) << error;
+    }
+    served_from = service.manifest();
+  }
+
+  serve::ServerConfig server_config;
+  server_config.socket_path = socket;
+  server_config.index_path = ManifestPath(dir);
+  serve::Server server(model, server_config);
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread runner([&server] { server.Run(); });
+
+  // Wipe the directory and ingest different images: the new manifest names
+  // the same shard files at the same sequence numbers, but their sources
+  // differ, so the first poke shares no prefix and reads from scratch.
+  RemoveTree(dir);
+  ingest::IngestConfig config = MakeConfig(dir);
+  config.serve_socket = socket;
+  ingest::IngestService service(model, config);
+  ASSERT_TRUE(service.Open(&error)) << error;
+  ingest::IngestStats stats;
+  ReloadSplit before = ReloadCounters();
+  ASSERT_TRUE(service.IngestFile(second[0], &stats, &error)) << error;
+  const store::ShardRecord& reborn = service.manifest().shards.at(0);
+  EXPECT_EQ(reborn.file, served_from.shards[0].file);
+  EXPECT_EQ(reborn.created_seq, served_from.shards[0].created_seq);
+  EXPECT_NE(reborn.sources, served_from.shards[0].sources);
+  ExpectReloadSplit(before, 0, 1, "first re-ingest");
+  ExpectServedMatchesFreshOpen(model, server, ManifestPath(dir), queries,
+                               "first re-ingest");
+
+  // From there on the new lineage grows incrementally again.
+  before = ReloadCounters();
+  ASSERT_TRUE(service.IngestFile(second[1], &stats, &error)) << error;
+  ExpectReloadSplit(before, 1, 1, "second re-ingest");
+  ExpectServedMatchesFreshOpen(model, server, ManifestPath(dir), queries,
+                               "second re-ingest");
+
   server.RequestStop();
   runner.join();
 }

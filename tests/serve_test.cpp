@@ -20,10 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
@@ -43,6 +45,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "store/container.h"
+#include "store/manifest.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/request_log.h"
@@ -584,6 +587,138 @@ TEST_F(ServeTest, SwapUnderLoadServesOldOrNewNeverTorn) {
   }
 }
 
+// Publishes `features` as one more INDX shard of the sharded index in
+// `dir`: the shard file first, then the manifest naming it (the ingest
+// publish order, so the daemon never sees a record without its file).
+void AppendShard(const core::AsteriaModel& model,
+                 const std::vector<core::FunctionFeature>& features,
+                 const std::string& dir, store::ShardManifest* manifest) {
+  store::ShardRecord record;
+  record.created_seq = manifest->sequence + 1;
+  record.file = "shard-" + std::to_string(record.created_seq) + ".idx";
+  const std::string path = dir + "/" + record.file;
+  record.entries =
+      static_cast<std::uint64_t>(SaveIndexSnapshot(model, features, path));
+  record.bytes = static_cast<std::uint64_t>(
+      std::ifstream(path, std::ios::binary | std::ios::ate).tellg());
+  manifest->model_fingerprint = model.WeightsFingerprint();
+  manifest->sequence = record.created_seq;
+  manifest->shards.push_back(std::move(record));
+  std::string error;
+  ASSERT_TRUE(store::SaveManifest(
+      *manifest, dir + "/" + store::kManifestFileName, &error))
+      << error;
+}
+
+TEST_F(ServeTest, SwapUnderLoadOverManifestServesOldOrNewNeverTorn) {
+  const core::AsteriaModel model(SmallModelConfig());
+  const std::string dir = TempPath("serve_swap_mani");
+  ::mkdir(dir.c_str(), 0777);  // reruns overwrite every file it holds
+  const std::string manifest_path = dir + "/" + store::kManifestFileName;
+  constexpr int kReloads = 3;
+  std::vector<std::vector<core::FunctionFeature>> shards;
+  shards.push_back(SyntheticFeatures(20, 33));
+  for (int r = 0; r < kReloads; ++r) {
+    shards.push_back(SyntheticFeatures(8, 34 + static_cast<std::uint64_t>(r)));
+  }
+  store::ShardManifest manifest;
+  AppendShard(model, shards[0], dir, &manifest);
+  const std::string socket_path = TempPath("serve_swap_mani.sock");
+  Harness harness(model, manifest_path, socket_path, /*workers=*/2,
+                  /*batch_max=*/4);
+  ASSERT_TRUE(harness.started());
+
+  // expect[v][q]: query q against version v (the first shard plus v
+  // appended ones), from an in-memory index of the same entries in the
+  // same order. k exceeds every version's size, so each append changes
+  // every reply and "old or new" is a sharp check.
+  const auto queries = SyntheticFeatures(6, 41);
+  constexpr int kTop = 64;
+  std::vector<std::vector<std::vector<core::SearchHit>>> expect;
+  {
+    core::SearchIndex reference(model);
+    for (const auto& shard : shards) {
+      reference.AddAll(shard);
+      expect.emplace_back();
+      for (const core::FunctionFeature& query : queries) {
+        expect.back().push_back(reference.TopK(query, kTop));
+      }
+    }
+  }
+
+  // Every reply must be the version published when it was sent, or a
+  // later one no further than one reload past what was published when it
+  // returned — never a torn mix. The serve.swap failpoint holds each built
+  // replacement unpublished for 50ms so in-flight queries race the swap.
+  Arm("serve.swap=always");
+  std::atomic<int> published{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> checked{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      serve::Client client;
+      std::string client_error;
+      if (!client.Connect(socket_path, &client_error)) {
+        ++failures;
+        return;
+      }
+      std::size_t q = static_cast<std::size_t>(t);
+      while (!stop.load(std::memory_order_acquire)) {
+        q = (q + 1) % queries.size();
+        const int lo = published.load(std::memory_order_acquire);
+        std::vector<core::SearchHit> hits;
+        if (!client.TopK(queries[q], kTop, &hits, &client_error)) {
+          ++failures;
+          return;
+        }
+        const int hi =
+            std::min(published.load(std::memory_order_acquire) + 1, kReloads);
+        bool matched = false;
+        for (int v = lo; v <= hi && !matched; ++v) {
+          matched = SameHits(hits, expect[static_cast<std::size_t>(v)][q]);
+        }
+        if (!matched) {
+          ++failures;  // a torn or stale snapshot would land here
+          return;
+        }
+        ++checked;
+      }
+    });
+  }
+  const auto before = util::SnapshotMetrics();
+  serve::Client control;
+  std::string error;
+  bool reloaded = control.Connect(socket_path, &error);
+  for (int r = 1; r <= kReloads && reloaded; ++r) {
+    AppendShard(model, shards[static_cast<std::size_t>(r)], dir, &manifest);
+    reloaded = control.Reload(&error);
+    published.store(r, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& thread : clients) thread.join();
+  ASSERT_TRUE(reloaded) << error;
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(checked.load(), 0);
+
+  // Reload r kept the r shards the live snapshot held and read one.
+  const auto after = util::SnapshotMetrics();
+  EXPECT_EQ(CounterValueOf(after, "serve.reload_shards_reused") -
+                CounterValueOf(before, "serve.reload_shards_reused"),
+            static_cast<std::uint64_t>(kReloads * (kReloads + 1) / 2));
+  EXPECT_EQ(CounterValueOf(after, "serve.reload_shards_read") -
+                CounterValueOf(before, "serve.reload_shards_read"),
+            static_cast<std::uint64_t>(kReloads));
+
+  // Quiesced: every query now sees the last version exactly.
+  std::vector<core::SearchHit> hits;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(control.TopK(queries[q], kTop, &hits, &error)) << error;
+    ExpectSameHits(hits, expect[kReloads][q]);
+  }
+}
+
 TEST_F(ServeTest, ReloadFailureKeepsServingTheOldSnapshot) {
   const core::AsteriaModel model(SmallModelConfig());
   const auto features = SyntheticFeatures(12, 51);
@@ -1047,6 +1182,51 @@ TEST_F(ServeTest, ExpiredAtDequeueAnswersDeadlineExceededWithoutEncoding) {
   ASSERT_TRUE(serve::GetHits(payload, &id, &hits, &error)) << error;
   EXPECT_EQ(id, 10u);
   ExpectSameHits(hits, reference.TopK(queries[1], 3));
+  ::close(fd);
+}
+
+TEST_F(ServeTest, MaximalWireDeadlineIsClampedAndAnswered) {
+  const core::AsteriaModel model(SmallModelConfig());
+  const auto features = SyntheticFeatures(15, 153);
+  const std::string index_path = TempPath("serve_maxddl.idx");
+  SaveIndexSnapshot(model, features, index_path);
+  core::SearchIndex reference(model);
+  std::string error;
+  ASSERT_TRUE(reference.Load(index_path, &error)) << error;
+  const auto queries = SyntheticFeatures(1, 154);
+  const std::vector<std::uint8_t> frame = BuildTopKFrameBytes(
+      queries[0], 3, /*id=*/12, /*deadline_ms=*/0xFFFFFFFFFFFFFFFFull);
+
+  // ReadFrame hands out the documented ceiling, not the raw field.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_TRUE(SendAll(pair[0], frame));
+  serve::FrameType type = serve::FrameType::kPing;
+  std::vector<std::uint8_t> payload;
+  std::uint64_t deadline_ms = 0;
+  ASSERT_EQ(serve::ReadFrame(pair[1], &type, &payload, &error, &deadline_ms),
+            serve::ReadStatus::kFrame)
+      << error;
+  EXPECT_EQ(deadline_ms, serve::kMaxDeadlineMs);
+  ::close(pair[0]);
+  ::close(pair[1]);
+
+  // The daemon admits it as an ordinary, far-off deadline and answers.
+  const std::string socket_path = TempPath("serve_maxddl.sock");
+  Harness harness(model, index_path, socket_path, /*workers=*/1);
+  ASSERT_TRUE(harness.started());
+  const int fd = ConnectRaw(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, frame));
+  ASSERT_EQ(serve::ReadFrame(fd, &type, &payload, &error),
+            serve::ReadStatus::kFrame)
+      << error;
+  ASSERT_EQ(type, serve::FrameType::kHits);
+  std::uint64_t id = 0;
+  std::vector<core::SearchHit> hits;
+  ASSERT_TRUE(serve::GetHits(payload, &id, &hits, &error)) << error;
+  EXPECT_EQ(id, 12u);
+  ExpectSameHits(hits, reference.TopK(queries[0], 3));
   ::close(fd);
 }
 

@@ -129,6 +129,35 @@ TEST(Container, RejectsBadMagic) {
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
 
+TEST(Container, PeekKindReadsTheHeaderAlone) {
+  const std::string path = TempPath("container_peek.bin");
+  {
+    store::Writer writer;
+    std::string error;
+    ASSERT_TRUE(writer.Open(path, store::kKindManifest, &error)) << error;
+    ASSERT_TRUE(writer.Finish(&error)) << error;
+  }
+  // A dangling chunk frame after the header: Reader::Open's framing scan
+  // rejects the file, the header-only peek still names its kind.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.write("SHRD\x01\x00", 6);
+  }
+  std::uint32_t kind = 0;
+  std::string error;
+  ASSERT_TRUE(store::PeekKind(path, &kind, &error)) << error;
+  EXPECT_EQ(kind, store::kKindManifest);
+  store::Reader reader;
+  EXPECT_FALSE(reader.Open(path, 0, &error));
+
+  WriteAll(path, {'A', 'S', 'T'});
+  EXPECT_FALSE(store::PeekKind(path, &kind, &error));
+  EXPECT_NE(error.find("too small"), std::string::npos) << error;
+  EXPECT_FALSE(store::PeekKind(TempPath("container_peek_missing.bin"), &kind,
+                               &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
 TEST(Container, RejectsWrongKind) {
   const std::string path = TempPath("container_wrong_kind.bin");
   store::Writer writer;
