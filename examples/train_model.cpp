@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   flags.DefineInt("seed", 7, "seed");
   flags.DefineString("save", "asteria.weights", "output weight file");
   flags.DefineString("load", "",
-                     "warm-start from an existing checkpoint (container "
-                     "format or legacy asteria-params v1)");
+                     "warm-start from an existing container checkpoint");
   if (!flags.Parse(argc, argv)) return 1;
 
   dataset::CorpusConfig corpus_config;

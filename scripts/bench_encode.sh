@@ -15,6 +15,7 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 MIN_SPEEDUP="${MIN_SPEEDUP:-3}"
 METRICS="$BUILD/bench_out/metrics_encode.json"
@@ -29,11 +30,8 @@ cmake --build "$BUILD" -j "$(nproc)" --target bench_fig10b_offline_time
     --min_encode_speedup="$MIN_SPEEDUP" \
     --metrics_out="$METRICS"
 
-counter() {
-  grep -oE "\"$1\": [0-9]+" "$METRICS" | grep -oE '[0-9]+$' || echo 0
-}
-FAST="$(counter 'encode\.fast')"
-TAPE="$(counter 'encode\.tape')"
+FAST="$(counter "$METRICS" 'encode\.fast')"
+TAPE="$(counter "$METRICS" 'encode\.tape')"
 if [ "$FAST" -eq 0 ]; then
   echo "FAIL: metrics snapshot shows zero fused encodes (encode.fast)" >&2
   exit 1

@@ -17,20 +17,12 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 MIN_INGEST_SPEEDUP="${MIN_INGEST_SPEEDUP:-10}"
 FLEET="${FLEET:-32}"
 RUNS="${RUNS:-3}"
-WORK="$(mktemp -d)"
-SERVE_PID=""
-cleanup() {
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+make_work_dir
 
 cmake -S "$ROOT" -B "$BUILD" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target asteria-cli asteria-serve
@@ -62,11 +54,7 @@ FULL_MEAN_NANOS=$((FULL_TOTAL_NANOS / RUNS))
 "$SERVE" --socket="$SOCK" --index="$WORK/inc_idx/manifest.mani" \
     >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
-for _ in $(seq 50); do
-  if "$CLI" ctl ping --socket="$SOCK" >/dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-"$CLI" ctl ping --socket="$SOCK" >/dev/null \
+await_ping "$SOCK" \
   || { echo "FAIL: daemon did not come up"; cat "$WORK/serve.log" >&2; exit 1; }
 
 INC_TOTAL_NANOS=0

@@ -14,20 +14,12 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+. "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
 MIN_SERVE_SPEEDUP="${MIN_SERVE_SPEEDUP:-50}"
 COLD_RUNS="${COLD_RUNS:-5}"
 WARM_RUNS="${WARM_RUNS:-50}"
-WORK="$(mktemp -d)"
-SERVE_PID=""
-cleanup() {
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+make_work_dir
 
 cmake -S "$ROOT" -B "$BUILD" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target asteria-cli asteria-serve
@@ -37,8 +29,7 @@ SERVE="$BUILD/tools/asteria-serve"
 SOCK="$WORK/serve.sock"
 
 "$CLI" gen 42 > "$WORK/prog.mc"
-FN="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/prog.mc" \
-      | head -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
+FN="$(first_fn "$WORK/prog.mc")"
 [ -n "$FN" ] || { echo "FAIL: no function found in generated program" >&2; exit 1; }
 "$CLI" index-build "$WORK/prog.mc" "$WORK/prog.idx" >/dev/null 2>&1
 
@@ -57,11 +48,7 @@ COLD_MEAN_NANOS=$((COLD_TOTAL_NANOS / COLD_RUNS))
 "$SERVE" --socket="$SOCK" --index="$WORK/prog.idx" --workers=2 \
     >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
-for _ in $(seq 50); do
-  if "$CLI" ctl ping --socket="$SOCK" >/dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-"$CLI" ctl ping --socket="$SOCK" >/dev/null \
+await_ping "$SOCK" \
   || { echo "FAIL: daemon did not come up"; cat "$WORK/serve.log" >&2; exit 1; }
 
 "$CLI" query "$WORK/prog.mc" "$FN" x86 5 --socket="$SOCK" \

@@ -32,16 +32,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 . "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
-WORK="$(mktemp -d)"
-SERVE_PID=""
-cleanup() {
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+make_work_dir
 
 CHAOS_FILTER='ServeTest.OverloadSheds*:ServeTest.ExpiredAtDequeue*'
 CHAOS_FILTER+=':ServeTest.DisconnectCancels*:ServeTest.ExplicitCancel*'
@@ -52,16 +43,9 @@ CHAOS_FILTER+=':ServeTest.MaxConns*:MpmcQueueTest.TryPush*'
 
 # -- 1. Sanitized chaos matrix ----------------------------------------------
 
-export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
-export ASAN_OPTIONS="halt_on_error=1 detect_leaks=0"
 for sanitizer in thread address; do
-  SAN_BUILD="$ROOT/build-${sanitizer/thread/tsan}"
-  SAN_BUILD="${SAN_BUILD/address/asan}"
   echo "== check_chaos: $sanitizer chaos matrix =="
-  cmake -S "$ROOT" -B "$SAN_BUILD" -DASTERIA_SANITIZE="$sanitizer" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$SAN_BUILD" -j "$(nproc)" --target serve_test util_test \
-        >/dev/null
+  san_build "$sanitizer" serve_test util_test >/dev/null
   "$SAN_BUILD/tests/serve_test" --gtest_brief=1 \
       --gtest_filter="$CHAOS_FILTER"
   "$SAN_BUILD/tests/util_test" --gtest_brief=1 \
@@ -77,26 +61,12 @@ CLI="$BUILD/tools/asteria-cli"
 SERVE="$BUILD/tools/asteria-serve"
 
 "$CLI" gen 42 > "$WORK/prog.mc"
-FN1="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/prog.mc" \
-       | head -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
+FN1="$(first_fn "$WORK/prog.mc")"
 [ -n "$FN1" ] \
   || { echo "FAIL: no function in the generated program" >&2; exit 1; }
 "$CLI" index-build "$WORK/prog.mc" "$WORK/prog.idx" >/dev/null 2>&1
 "$CLI" index-query "$WORK/prog.idx" "$WORK/prog.mc" "$FN1" x86 5 \
     > "$WORK/direct.txt" 2>/dev/null
-
-await_ping() {
-  for _ in $(seq 50); do
-    if "$CLI" ctl ping --socket="$1" >/dev/null 2>&1; then return 0; fi
-    sleep 0.1
-  done
-  return 1
-}
-
-counter() {
-  grep -oE "\"$2\": [0-9]+" "$1" | grep -oE '[0-9]+$' || echo 0
-}
-
 
 # -- 2a. Well-behaved session: parity, zero chaos counters, determinism.
 for workers in 1 8; do

@@ -21,8 +21,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 . "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+make_work_dir
 
 cmake -S "$ROOT" -B "$BUILD" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target asteria-cli
@@ -32,8 +31,7 @@ CLI="$BUILD/tools/asteria-cli"
 "$CLI" fw-gen "$WORK/drop" 4 21 >/dev/null
 "$CLI" gen 3 > "$WORK/query.mc"
 # First function of the generated package is the query.
-FN="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/query.mc" \
-      | head -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
+FN="$(first_fn "$WORK/query.mc")"
 [ -n "$FN" ] || { echo "FAIL: no function in generated query program" >&2; exit 1; }
 
 for threads in 1 8; do

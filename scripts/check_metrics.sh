@@ -15,8 +15,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 . "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
-WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+make_work_dir
 
 cmake -S "$ROOT" -B "$BUILD" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target asteria-cli
@@ -25,8 +24,7 @@ CLI="$BUILD/tools/asteria-cli"
 
 "$CLI" gen 42 > "$WORK/prog.mc"
 # First function of the generated package is the query.
-FN="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/prog.mc" \
-      | head -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
+FN="$(first_fn "$WORK/prog.mc")"
 [ -n "$FN" ] || { echo "FAIL: no function found in generated program" >&2; exit 1; }
 
 for threads in 1 8; do

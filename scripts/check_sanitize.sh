@@ -37,33 +37,19 @@ case "$SANITIZER" in
 esac
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BUILD="$ROOT/build-${SANITIZER/thread/tsan}"
-BUILD="${BUILD/address/asan}"
+. "$ROOT/scripts/lib.sh"
 
-EXTRA_FLAGS=""
-if [ "$SANITIZER" = address ]; then
-  EXTRA_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined"
-fi
+TESTS=(util_test determinism_test core_test dataset_test store_test
+       search_index_test robustness_test fast_encoder_test metrics_test
+       serve_test ingest_test)
+# san_build (scripts/lib.sh) also exports the halt_on_error options: any
+# sanitizer report is a non-zero exit even if the race would not otherwise
+# crash the test.
+san_build "$SANITIZER" "${TESTS[@]}"
 
-cmake -S "$ROOT" -B "$BUILD" -DASTERIA_SANITIZE="$SANITIZER" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS="$EXTRA_FLAGS" \
-      >/dev/null
-cmake --build "$BUILD" -j "$(nproc)" --target \
-      util_test determinism_test core_test dataset_test store_test \
-      search_index_test robustness_test fast_encoder_test metrics_test \
-      serve_test ingest_test
-
-# halt_on_error turns any sanitizer report into a non-zero exit so CI fails
-# even if the race would not otherwise crash the test.
-export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
-export ASAN_OPTIONS="halt_on_error=1 detect_leaks=0"
-export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
-
-for test in util_test determinism_test core_test dataset_test store_test \
-            search_index_test robustness_test fast_encoder_test metrics_test \
-            serve_test ingest_test; do
+for test in "${TESTS[@]}"; do
   echo "== $SANITIZER: $test =="
-  "$BUILD/tests/$test" --gtest_brief=1
+  "$SAN_BUILD/tests/$test" --gtest_brief=1
 done
 
 echo "OK: all concurrency tests clean under ${SANITIZER} sanitizer"

@@ -22,16 +22,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 . "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
-WORK="$(mktemp -d)"
-SERVE_PID=""
-cleanup() {
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+make_work_dir
 
 cmake -S "$ROOT" -B "$BUILD" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target asteria-cli asteria-serve
@@ -40,10 +31,8 @@ CLI="$BUILD/tools/asteria-cli"
 SERVE="$BUILD/tools/asteria-serve"
 
 "$CLI" gen 42 > "$WORK/prog.mc"
-FN1="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/prog.mc" \
-       | head -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
-FN2="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/prog.mc" \
-       | head -2 | tail -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
+FN1="$(first_fn "$WORK/prog.mc")"
+FN2="$(first_fn "$WORK/prog.mc" 2)"
 [ -n "$FN1" ] && [ -n "$FN2" ] \
   || { echo "FAIL: need two functions in the generated program" >&2; exit 1; }
 "$CLI" index-build "$WORK/prog.mc" "$WORK/prog.idx" >/dev/null 2>&1
@@ -70,10 +59,9 @@ for workers in 1 8; do
       --batch_max=4 --metrics_out="$WORK/m$workers.json" \
       >"$WORK/serve$workers.log" 2>&1 &
   SERVE_PID=$!
-  for _ in $(seq 50); do
-    if "$CLI" ctl ping --socket="$SOCK" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-  done
+  await_ping "$SOCK" \
+    || { echo "FAIL: daemon (workers=$workers) never answered ping" >&2
+         cat "$WORK/serve$workers.log" >&2; exit 1; }
   session "$WORK/out$workers.txt" "$SOCK" \
     || { echo "FAIL: session failed at workers=$workers" >&2
          cat "$WORK/serve$workers.log" >&2; exit 1; }
@@ -98,9 +86,6 @@ if ! diff -u "$WORK/m1.det" "$WORK/m8.det"; then
   exit 1
 fi
 
-counter() {
-  grep -oE "\"$2\": [0-9]+" "$1" | grep -oE '[0-9]+$' || echo 0
-}
 for name in 'serve\.accepted' 'serve\.requests' 'serve\.replies' \
             'serve\.reloads' 'serve\.reload_shards_read'; do
   VALUE="$(counter "$WORK/m1.json" "$name")"

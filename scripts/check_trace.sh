@@ -3,10 +3,12 @@
 # Three halves:
 #
 #   1. The tracing test matrix — request-log ring (seqlock, wrap, concurrent
-#      appenders), v1/v2 frame compat, trace-id echo, record completeness
-#      under shed/deadline/cancel at workers 1/2/8, kStats, and the
-#      slow-query capture — under BOTH TSan and ASan: the wait-free Append
-#      path and the telemetry sampler thread must be provably race-free.
+#      appenders), trace-id echo (and the client failing a reply that does
+#      not echo it), record completeness (one record per frame, unknown
+#      types included, and under shed/deadline/cancel at workers 1/2/8),
+#      kStats, and the slow-query capture — under BOTH TSan and
+#      ASan+UBSan: the wait-free Append path and the telemetry sampler
+#      thread must be provably race-free.
 #
 #   2. An end-to-end chaos storm: a stalled, admission-limited daemon takes
 #      concurrent no-retry clients plus a doomed --deadline_ms=1 query, every
@@ -29,35 +31,20 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 . "$ROOT/scripts/lib.sh"
 BUILD="$ROOT/${1:-build}"
-WORK="$(mktemp -d)"
-SERVE_PID=""
-cleanup() {
-  if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-    kill "$SERVE_PID" 2>/dev/null || true
-    wait "$SERVE_PID" 2>/dev/null || true
-  fi
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+make_work_dir
 
-TRACE_FILTER='RequestLogTest.*:ServeTest.OlderFrameVersions*'
-TRACE_FILTER+=':ServeTest.TraceIdIsEchoed*:ServeTest.ClientAndServerRecords*'
+TRACE_FILTER='RequestLogTest.*:ServeTest.TraceIdIsEchoed*'
+TRACE_FILTER+=':ServeTest.ClientRejectsARepliedTraceId*'
+TRACE_FILTER+=':ServeTest.ClientAndServerRecords*'
 TRACE_FILTER+=':ServeTest.RequestLogComplete*:ServeTest.StatsProbe*'
 TRACE_FILTER+=':ServeTest.HealthProbeReportsCumulative*'
 TRACE_FILTER+=':ServeTest.SlowQueryCapture*'
 
 # -- 1. Sanitized tracing matrix --------------------------------------------
 
-export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
-export ASAN_OPTIONS="halt_on_error=1 detect_leaks=0"
 for sanitizer in thread address; do
-  SAN_BUILD="$ROOT/build-${sanitizer/thread/tsan}"
-  SAN_BUILD="${SAN_BUILD/address/asan}"
   echo "== check_trace: $sanitizer tracing matrix =="
-  cmake -S "$ROOT" -B "$SAN_BUILD" -DASTERIA_SANITIZE="$sanitizer" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$SAN_BUILD" -j "$(nproc)" \
-        --target serve_test request_log_test >/dev/null
+  san_build "$sanitizer" serve_test request_log_test >/dev/null
   "$SAN_BUILD/tests/request_log_test" --gtest_brief=1
   "$SAN_BUILD/tests/serve_test" --gtest_brief=1 \
       --gtest_filter="$TRACE_FILTER"
@@ -72,21 +59,12 @@ CLI="$BUILD/tools/asteria-cli"
 SERVE="$BUILD/tools/asteria-serve"
 
 "$CLI" gen 42 > "$WORK/prog.mc"
-FN1="$(grep -oE '^int [A-Za-z_][A-Za-z0-9_]*\(' "$WORK/prog.mc" \
-       | head -1 | sed -E 's/^int ([A-Za-z0-9_]+)\(/\1/')"
+FN1="$(first_fn "$WORK/prog.mc")"
 [ -n "$FN1" ] \
   || { echo "FAIL: no function in the generated program" >&2; exit 1; }
 "$CLI" index-build "$WORK/prog.mc" "$WORK/prog.idx" >/dev/null 2>&1
 "$CLI" index-query "$WORK/prog.idx" "$WORK/prog.mc" "$FN1" x86 5 \
     > "$WORK/direct.txt" 2>/dev/null
-
-await_ping() {
-  for _ in $(seq 50); do
-    if "$CLI" ctl ping --socket="$1" >/dev/null 2>&1; then return 0; fi
-    sleep 0.1
-  done
-  return 1
-}
 
 # Record dumps are CRC-framed "SLOW <crc> <json>" lines with a fixed key
 # order; flatten each to "trace op outcome" for the joins.

@@ -10,8 +10,6 @@
 // squared-error loss, exactly as in the original.
 #pragma once
 
-#include <string>
-
 #include "cfg/acfg.h"
 #include "nn/autograd.h"
 #include "nn/optimizer.h"
@@ -43,9 +41,6 @@ class GeminiModel {
 
   // One SGD-on-(cos - label)^2 step (label is +1 or -1); returns the loss.
   double TrainPair(const cfg::Acfg& a, const cfg::Acfg& b, int label);
-
-  bool Save(const std::string& path) const { return store_.Save(path); }
-  bool Load(const std::string& path) { return store_.Load(path); }
 
   const GeminiConfig& config() const { return config_; }
 

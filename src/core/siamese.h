@@ -77,9 +77,8 @@ class SiameseModel {
   double TrainPair(const ast::BinaryAst& a, const ast::BinaryAst& b,
                    bool homologous);
 
-  // Checkpoints via store::{Save,Load}ModelCheckpoint: writes the versioned
-  // CRC-checked container format, reads both it and legacy asteria-params v1
-  // files (src/store/checkpoint.h).
+  // Checkpoints via store::{Save,Load}ModelCheckpoint: the versioned
+  // CRC-checked container format (src/store/checkpoint.h).
   bool Save(const std::string& path) const;
   bool Load(const std::string& path);
 

@@ -1,29 +1,9 @@
 #include "nn/parameter.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <set>
 #include <stdexcept>
-#include <utility>
-
-#include "util/failpoint.h"
-#include "util/log.h"
 
 namespace asteria::nn {
-
-namespace {
-
-// Fault-injection points for the legacy text weight format (the container
-// checkpoint path has its own store.* failpoints).
-util::Failpoint fp_params_open("params.open");
-util::Failpoint fp_params_write("params.write");
-util::Failpoint fp_params_rename("params.rename");
-util::Failpoint fp_params_read("params.read");
-
-}  // namespace
 
 Parameter* ParameterStore::Create(const std::string& name, int rows,
                                   int cols) {
@@ -60,119 +40,6 @@ std::size_t ParameterStore::TotalWeights() const {
   std::size_t total = 0;
   for (Parameter* p : handles_) total += p->value.size();
   return total;
-}
-
-bool ParameterStore::Save(const std::string& path) const {
-  // Same crash-safety discipline as store::Writer: stream to a temp file
-  // and rename over the final path only once everything is on disk.
-  const std::string temp_path = path + ".tmp";
-  if (fp_params_open.ShouldFail()) return false;
-  std::ofstream out(temp_path, std::ios::binary);
-  if (!out) return false;
-  out << "asteria-params v1\n" << handles_.size() << "\n";
-  for (Parameter* p : handles_) {
-    out << p->name << " " << p->value.rows() << " " << p->value.cols() << "\n";
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(p->value.size() * sizeof(double)));
-    out << "\n";
-  }
-  if (fp_params_write.ShouldFail()) out.setstate(std::ios::failbit);
-  const bool wrote = static_cast<bool>(out);
-  out.close();
-  if (!wrote || fp_params_rename.ShouldFail() ||
-      std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool ParameterStore::Load(const std::string& path) {
-  const auto reject = [&path](const std::string& reason) {
-    ASTERIA_LOG(Error) << "ParameterStore::Load(" << path << "): " << reason;
-    return false;
-  };
-  if (fp_params_read.ShouldFail()) {
-    return reject("read failed (failpoint params.read)");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return reject("cannot open file");
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  std::string magic, version;
-  in >> magic >> version;
-  if (!in || magic != "asteria-params" || version != "v1") {
-    return reject("bad magic/version (expected 'asteria-params v1')");
-  }
-  std::uint64_t count = 0;
-  in >> count;
-  if (!in) return reject("unreadable parameter count");
-  // Each parameter record is at least a 1-char name, " r c\n", one double,
-  // and the trailing newline; a count that cannot fit in the file is a
-  // corrupted or truncated header, not something to iterate on.
-  if (count > file_size / (sizeof(double) + 6)) {
-    return reject("declared parameter count " + std::to_string(count) +
-                  " cannot fit in a " + std::to_string(file_size) +
-                  "-byte file — corrupted header");
-  }
-  if (count != handles_.size()) {
-    return reject("file declares " + std::to_string(count) +
-                  " parameters but this store has " +
-                  std::to_string(handles_.size()));
-  }
-  // Stage every value first so a failure never leaves the store partially
-  // overwritten (all-or-nothing, matching store::LoadModelCheckpoint).
-  std::vector<std::pair<Parameter*, std::vector<double>>> staged;
-  staged.reserve(count);
-  std::set<std::string> seen;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    long long rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (!in) {
-      return reject("truncated header for parameter record " +
-                    std::to_string(i));
-    }
-    in.ignore();  // newline before the raw block
-    if (!seen.insert(name).second) {
-      return reject("duplicate parameter record '" + name + "'");
-    }
-    Parameter* p = Find(name);
-    if (p == nullptr) {
-      return reject("unknown parameter '" + name +
-                    "' (model/checkpoint mismatch)");
-    }
-    if (p->value.rows() != rows || p->value.cols() != cols) {
-      return reject("parameter '" + name + "' has shape " +
-                    std::to_string(rows) + "x" + std::to_string(cols) +
-                    " in the file but " + std::to_string(p->value.rows()) +
-                    "x" + std::to_string(p->value.cols()) + " in this store");
-    }
-    std::vector<double> values(p->value.size());
-    in.read(reinterpret_cast<char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(double)));
-    if (!in || in.gcount() !=
-                   static_cast<std::streamsize>(values.size() * sizeof(double))) {
-      return reject("raw value block of parameter '" + name +
-                    "' is truncated (wanted " +
-                    std::to_string(values.size() * sizeof(double)) +
-                    " bytes)");
-    }
-    in.ignore();  // trailing newline
-    for (double v : values) {
-      if (!std::isfinite(v)) {
-        return reject("parameter '" + name +
-                      "' contains non-finite values (NaN/Inf) — refusing to "
-                      "load a poisoned weight file");
-      }
-    }
-    staged.emplace_back(p, std::move(values));
-  }
-  for (auto& [p, values] : staged) {
-    std::copy(values.begin(), values.end(), p->value.data());
-  }
-  return true;
 }
 
 }  // namespace asteria::nn

@@ -2,8 +2,8 @@
 //
 // Parameters are owned by a ParameterStore (stable addresses; models hold
 // Parameter* handles). Gradients are accumulated by Tape::Backward and
-// consumed by an optimizer (see optimizer.h). The store also provides
-// save/load so trained models can be reused by examples and benches.
+// consumed by an optimizer (see optimizer.h). Weights persist through
+// store::SaveModelCheckpoint / LoadModelCheckpoint (store/checkpoint.h).
 #pragma once
 
 #include <memory>
@@ -31,7 +31,7 @@ struct Parameter {
 class ParameterStore {
  public:
   // Creates a zero-initialized parameter. Names must be unique (they key
-  // the save/load format); duplicate names throw.
+  // the checkpoint format); duplicate names throw.
   Parameter* Create(const std::string& name, int rows, int cols);
 
   // Creates a parameter with Xavier/Glorot uniform init.
@@ -45,17 +45,6 @@ class ParameterStore {
 
   // Total number of scalar weights.
   std::size_t TotalWeights() const;
-
-  // Legacy "asteria-params v1" codec (text header + raw doubles). New code
-  // should go through store::SaveModelCheckpoint / LoadModelCheckpoint
-  // (src/store/checkpoint.h), which write the versioned CRC-checked
-  // container format and fall back to this reader for old files.
-  bool Save(const std::string& path) const;
-  // Loads values for parameters already created with matching names/shapes.
-  // All-or-nothing: validates the declared count against the file size and
-  // every name/shape before committing any value; failures are logged with
-  // a reason and leave the store untouched.
-  bool Load(const std::string& path);
 
  private:
   std::vector<std::unique_ptr<Parameter>> owned_;

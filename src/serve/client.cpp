@@ -194,10 +194,10 @@ Client::ExchangeResult Client::ExchangeOnce(
       return ExchangeResult::kFailed;
     }
     if (reply_id != id) continue;
-    // A v3 daemon echoes the request's trace id on the reply; an echo that
+    // The daemon echoes the request's trace id on the reply; an echo that
     // disagrees means the frames are crossed — fail loudly rather than
-    // trust the payload. A zero echo is a pre-v3 daemon, which is fine.
-    if (reply_trace_id != 0 && trace_id != 0 && reply_trace_id != trace_id) {
+    // trust the payload.
+    if (reply_trace_id != trace_id) {
       *error = "reply trace id mismatch (frames crossed on the connection)";
       cut_record(util::RequestOutcome::kError);
       return ExchangeResult::kFailed;

@@ -7,7 +7,7 @@
 // a wedged or killed daemon can never hang the caller.
 //
 // Request lifecycle (docs/ROBUSTNESS.md "Overload & request lifecycle"):
-// ClientOptions::deadline_ms stamps each request's v2 frame header with the
+// ClientOptions::deadline_ms stamps each request's frame header with the
 // remaining budget and bounds the whole retry loop. With max_retries > 0,
 // *idempotent* operations (TopK, AboveThreshold, Ping, Health) survive a
 // daemon restart or a transient kOverloaded/kShuttingDown transparently:
@@ -35,7 +35,7 @@ namespace asteria::serve {
 struct ClientOptions {
   int recv_timeout_ms = 60000;  // SO_RCVTIMEO per read (0 = unbounded)
   int send_timeout_ms = 60000;  // SO_SNDTIMEO per write (0 = unbounded)
-  // Per-request budget in ms: stamped into the v2 frame header (the daemon
+  // Per-request budget in ms: stamped into the frame header (the daemon
   // drops the query if it expires before scoring) and enforced across the
   // whole retry loop (each attempt sends only the remaining budget).
   // 0 = no deadline.
@@ -65,7 +65,7 @@ class Client {
   bool Connect(const std::string& socket_path, const ClientOptions& options,
                std::string* error);
 
-  // Back-compat shorthand: default options with both timeouts set to
+  // Shorthand: default options with both timeouts set to
   // `recv_timeout_seconds` (0 disables them).
   bool Connect(const std::string& socket_path, std::string* error,
                int recv_timeout_seconds = 60);
@@ -103,8 +103,8 @@ class Client {
 
   bool ConnectFd(std::string* error);
   // One wire attempt. Mints nothing itself: `trace_id` is this attempt's
-  // already-minted trace (stamped into the v3 header; the reply must echo
-  // it or the attempt fails). `op`/`name` label the wide-event record the
+  // already-minted trace (stamped into the header; the reply must echo it
+  // exactly or the attempt fails). `op`/`name` label the wide-event record the
   // attempt cuts into util::GlobalRequestLog() — one record per attempt,
   // whatever the outcome, so the client-side request log mirrors the
   // daemon's (docs/OBSERVABILITY.md).

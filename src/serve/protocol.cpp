@@ -55,8 +55,8 @@ using SteadyTime = std::chrono::steady_clock::time_point;
 // an idle connection can sit forever. The first byte that lands arms it at
 // now + io_timeout_ms, and from then on every EAGAIN wakeup — and every
 // partial read, so a steady trickle cannot dodge the check — tests it.
-// With a null deadline, EAGAIN is an ordinary error (-1), preserving the
-// pre-v2 client behavior where SO_RCVTIMEO expiry fails the exchange.
+// With a null deadline, EAGAIN is an ordinary error (-1): the client's
+// SO_RCVTIMEO expiry fails the exchange.
 ssize_t ReadFull(int fd, void* buffer, std::size_t size, int io_timeout_ms = 0,
                  SteadyTime* deadline = nullptr) {
   std::uint8_t* out = static_cast<std::uint8_t*>(buffer);
@@ -108,66 +108,40 @@ bool WriteFull(int fd, const void* buffer, std::size_t size) {
 ReadStatus ReadFrame(int fd, FrameType* type,
                      std::vector<std::uint8_t>* payload, std::string* error,
                      std::uint64_t* deadline_ms, int io_timeout_ms,
-                     std::uint64_t* trace_id, std::uint32_t* frame_version) {
-  if (deadline_ms != nullptr) *deadline_ms = 0;
-  if (trace_id != nullptr) *trace_id = 0;
-  if (frame_version != nullptr) *frame_version = kProtocolVersionV1;
+                     std::uint64_t* trace_id) {
   SteadyTime assembly_deadline{};
   SteadyTime* deadline = io_timeout_ms > 0 ? &assembly_deadline : nullptr;
-  std::uint8_t header[kFrameHeaderSizeV3];
-  const ssize_t got =
-      ReadFull(fd, header, kFrameHeaderSize, io_timeout_ms, deadline);
-  if (got == 0) return ReadStatus::kClosed;
-  if (got == -2) {
+  const auto timed_out = [&] {
     *error = "frame assembly timed out after " +
              std::to_string(io_timeout_ms) + " ms (slow or stalled peer)";
     return ReadStatus::kTimeout;
-  }
+  };
+  std::uint8_t header[kFrameHeaderSize];
+  const ssize_t got =
+      ReadFull(fd, header, kFrameHeaderSize, io_timeout_ms, deadline);
+  if (got == 0) return ReadStatus::kClosed;
+  if (got == -2) return timed_out();
   if (got < 0) {
     *error = "short read inside frame header (peer closed or I/O error)";
     return ReadStatus::kBad;
   }
-  const std::uint32_t magic = GetLe32(header);
-  if (magic != kServeMagic) {
+  if (GetLe32(header) != kServeMagic) {
     *error = "bad frame magic (expected ASRV)";
     return ReadStatus::kBad;
   }
   const std::uint32_t version = GetLe32(header + 4);
-  if (version != kProtocolVersion && version != kProtocolVersionV2 &&
-      version != kProtocolVersionV1) {
+  if (version != kProtocolVersion) {
     *error = "unsupported protocol version " + std::to_string(version) +
              " (this daemon speaks v" + std::to_string(kProtocolVersion) + ")";
     return ReadStatus::kBad;
   }
-  if (frame_version != nullptr) *frame_version = version;
   const std::uint32_t raw_type = GetLe32(header + 8);
   const std::uint32_t declared_crc = GetLe32(header + 12);
   const std::uint64_t size = GetLe64(header + 16);
-  // v2 appends the deadline field, v3 the trace id too; a v1 header simply
-  // has neither. Dispatch on the version before consuming trailing fields.
-  const std::size_t extra =
-      version == kProtocolVersion ? kFrameHeaderSizeV3 - kFrameHeaderSize
-      : version == kProtocolVersionV2 ? kFrameHeaderSizeV2 - kFrameHeaderSize
-                                      : 0;
-  if (extra > 0) {
-    const ssize_t more = ReadFull(fd, header + kFrameHeaderSize, extra,
-                                  io_timeout_ms, deadline);
-    if (more == -2) {
-      *error = "frame assembly timed out after " +
-               std::to_string(io_timeout_ms) + " ms (slow or stalled peer)";
-      return ReadStatus::kTimeout;
-    }
-    if (more != static_cast<ssize_t>(extra)) {
-      *error = "short read inside frame header (peer closed or I/O error)";
-      return ReadStatus::kBad;
-    }
-    if (deadline_ms != nullptr) {
-      *deadline_ms = std::min(GetLe64(header + 24), kMaxDeadlineMs);
-    }
-    if (trace_id != nullptr && version == kProtocolVersion) {
-      *trace_id = GetLe64(header + 32);
-    }
+  if (deadline_ms != nullptr) {
+    *deadline_ms = std::min(GetLe64(header + 24), kMaxDeadlineMs);
   }
+  if (trace_id != nullptr) *trace_id = GetLe64(header + 32);
   if (size > kMaxFramePayload) {
     *error = "declared payload of " + std::to_string(size) +
              " bytes exceeds the " + std::to_string(kMaxFramePayload) +
@@ -178,11 +152,7 @@ ReadStatus ReadFrame(int fd, FrameType* type,
   if (size > 0) {
     const ssize_t body =
         ReadFull(fd, payload->data(), payload->size(), io_timeout_ms, deadline);
-    if (body == -2) {
-      *error = "frame assembly timed out after " +
-               std::to_string(io_timeout_ms) + " ms (slow or stalled peer)";
-      return ReadStatus::kTimeout;
-    }
+    if (body == -2) return timed_out();
     if (body != static_cast<ssize_t>(size)) {
       *error = "frame truncated: declared " + std::to_string(size) +
                " payload bytes but the stream ended early";
@@ -201,15 +171,7 @@ ReadStatus ReadFrame(int fd, FrameType* type,
 
 bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
                 std::string* error, std::uint64_t deadline_ms,
-                std::uint64_t trace_id, std::uint32_t version) {
-  // Emit the header of the requested version: a v1 peer gets a 24-byte
-  // header (no deadline, no trace), a v2 peer 32 bytes. The daemon uses
-  // this to echo each reply in the version of the request that caused it,
-  // so pre-v3 clients keep parsing replies.
-  if (version != kProtocolVersion && version != kProtocolVersionV2 &&
-      version != kProtocolVersionV1) {
-    version = kProtocolVersion;
-  }
+                std::uint64_t trace_id) {
   // Every reader rejects an over-cap frame as kBad, so refuse it here,
   // before any byte goes out: the stream stays framed.
   if (payload.size() > kMaxFramePayload) {
@@ -218,20 +180,15 @@ bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
              "-byte frame cap";
     return false;
   }
-  const std::size_t header_size = version == kProtocolVersion
-                                      ? kFrameHeaderSizeV3
-                                  : version == kProtocolVersionV2
-                                      ? kFrameHeaderSizeV2
-                                      : kFrameHeaderSize;
-  std::uint8_t header[kFrameHeaderSizeV3];
+  std::uint8_t header[kFrameHeaderSize];
   PutLe32(kServeMagic, header);
-  PutLe32(version, header + 4);
+  PutLe32(kProtocolVersion, header + 4);
   PutLe32(static_cast<std::uint32_t>(type), header + 8);
   PutLe32(store::Crc32(payload.bytes().data(), payload.size()), header + 12);
   PutLe64(payload.size(), header + 16);
-  if (version != kProtocolVersionV1) PutLe64(deadline_ms, header + 24);
-  if (version == kProtocolVersion) PutLe64(trace_id, header + 32);
-  if (!WriteFull(fd, header, header_size) ||
+  PutLe64(deadline_ms, header + 24);
+  PutLe64(trace_id, header + 32);
+  if (!WriteFull(fd, header, kFrameHeaderSize) ||
       !WriteFull(fd, payload.bytes().data(), payload.size())) {
     *error = "frame write failed (peer closed or I/O error)";
     return false;
@@ -436,17 +393,18 @@ bool GetHealthInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
     return false;
   }
   info->draining = draining != 0;
-  // The v3 totals. A reply from an older daemon ends here; the fields stay
-  // zero rather than failing the parse, so `ctl health` keeps working
-  // across a version skew.
-  if (parser.AtEnd()) {
-    info->uptime_ms = info->answered = info->shed = info->deadline_exceeded = 0;
-    return true;
+  if (!parser.GetU64(&info->uptime_ms, error) ||
+      !parser.GetU64(&info->answered, error) ||
+      !parser.GetU64(&info->shed, error) ||
+      !parser.GetU64(&info->deadline_exceeded, error)) {
+    return false;
   }
-  return parser.GetU64(&info->uptime_ms, error) &&
-         parser.GetU64(&info->answered, error) &&
-         parser.GetU64(&info->shed, error) &&
-         parser.GetU64(&info->deadline_exceeded, error);
+  if (!parser.AtEnd()) {
+    *error = std::to_string(parser.remaining()) +
+             " trailing bytes after the health payload";
+    return false;
+  }
+  return true;
 }
 
 void PutStatsInfo(std::uint64_t id, const StatsInfo& info,

@@ -8,30 +8,25 @@
 // either validated end to end or rejected with a descriptive error, never
 // partially trusted.
 //
-// Frame layout, protocol v3 (40-byte header + payload):
+// Frame layout (40-byte header + payload):
 //
 //   offset  size  field
 //   0       4     magic "ASRV" (FourCc, little-endian)
-//   4       4     protocol version (kProtocolVersion)
+//   4       4     protocol version (kProtocolVersion; anything else is a
+//                 framing violation)
 //   8       4     frame type (FrameType)
 //   12      4     CRC32 of the payload bytes
 //   16      8     payload byte count (<= kMaxFramePayload)
 //   24      8     deadline_ms — request-lifetime budget in milliseconds,
-//                 relative to frame receipt (0 = no deadline). v2's new
-//                 field: a server drops a query whose budget has expired by
-//                 dequeue time instead of scoring it (kDeadlineExceeded).
-//   32      8     trace_id — v3's new field. Minted per wire attempt by
-//                 serve::Client (util::MintTraceId), echoed verbatim on the
-//                 reply, and stamped into both sides' wide-event request
-//                 records (util/request_log.h) so a client-observed reply
-//                 joins exactly one server record. 0 = untraced.
+//                 relative to frame receipt (0 = no deadline): a server
+//                 drops a query whose budget has expired by dequeue time
+//                 instead of scoring it (kDeadlineExceeded).
+//   32      8     trace_id — minted per wire attempt by serve::Client
+//                 (util::MintTraceId), echoed verbatim on the reply, and
+//                 stamped into both sides' wide-event request records
+//                 (util/request_log.h) so a client-observed reply joins
+//                 exactly one server record. 0 = untraced.
 //   40      n     payload (store::ChunkBuilder / ChunkParser encoding)
-//
-// v1 frames (24-byte header, no deadline or trace field) and v2 frames
-// (32-byte header, deadline but no trace) are still accepted — the reader
-// dispatches on the version field before consuming the trailing fields —
-// so older clients keep working against a v3 daemon; their frames simply
-// have no deadline and/or no trace id.
 //
 // Request payloads carry a client-chosen u64 correlation id that the
 // matching reply echoes, so a client may pipeline requests and a batched
@@ -51,13 +46,7 @@ namespace asteria::serve {
 
 inline constexpr std::uint32_t kServeMagic = store::FourCc('A', 'S', 'R', 'V');
 inline constexpr std::uint32_t kProtocolVersion = 3;
-inline constexpr std::uint32_t kProtocolVersionV2 = 2;
-inline constexpr std::uint32_t kProtocolVersionV1 = 1;
-// v1 header (also the common prefix of every later header), plus the
-// deadline field a v2 header appends and the trace-id field v3 appends.
-inline constexpr std::uint32_t kFrameHeaderSize = 24;
-inline constexpr std::uint32_t kFrameHeaderSizeV2 = 32;
-inline constexpr std::uint32_t kFrameHeaderSizeV3 = 40;
+inline constexpr std::uint32_t kFrameHeaderSize = 40;
 
 // A declared payload larger than this is rejected before any allocation —
 // the cap bounds what one hostile frame can make the daemon buffer.
@@ -79,14 +68,14 @@ enum class FrameType : std::uint32_t {
   kShutdown = 5,        // id — stop the daemon after replying
   kCancel = 6,          // id of the pending query to cancel (best effort)
   kHealth = 7,          // id — liveness + load probe
-  kStats = 8,           // id — telemetry probe (v3): counters, percentiles,
+  kStats = 8,           // id — telemetry probe: counters, percentiles,
                         // and the sampler's recent time series
   // Replies.
   kHits = 16,   // id, hit count, (index, name, score) per hit
   kPong = 17,   // id
   kOk = 18,     // id
   kError = 19,  // id (0 when the request id was unparseable), message
-  // Request-lifecycle replies (v2). All carry just the id; each tells the
+  // Request-lifecycle replies. All carry just the id; each tells the
   // client *why* no kHits is coming, and whether a retry can help.
   kOverloaded = 20,        // shed at admission (queue past high water) or
                            // connection refused at --max_conns; retryable
@@ -99,8 +88,8 @@ enum class FrameType : std::uint32_t {
 };
 
 // Payload of a kHealthInfo reply: a daemon's load at a glance. The
-// cumulative totals (v3 additions) let `ctl health` probes compute rates
-// from two probes without a full kStats round trip.
+// cumulative totals let `ctl health` probes compute rates from two probes
+// without a full kStats round trip.
 struct HealthInfo {
   std::uint64_t index_size = 0;   // entries in the served snapshot
   std::uint64_t queue_depth = 0;  // requests waiting for a worker
@@ -162,9 +151,8 @@ enum class ReadStatus {
 // answered with one best-effort kError frame and closed — after a framing
 // violation the byte stream cannot be trusted to realign.
 //
-// `deadline_ms`, when non-null, receives the v2+ deadline field and
-// `trace_id` the v3 trace field (each 0 for an older frame or an absent
-// value). `io_timeout_ms > 0` arms the frame-assembly
+// `deadline_ms` and `trace_id`, when non-null, receive the header's
+// deadline and trace fields. `io_timeout_ms > 0` arms the frame-assembly
 // deadline: waiting for a frame to *start* is unbounded (idle connections
 // are fine; the fd's SO_RCVTIMEO only paces the wait), but once the first
 // byte arrives the whole frame must complete within io_timeout_ms or the
@@ -174,22 +162,17 @@ ReadStatus ReadFrame(int fd, FrameType* type,
                      std::vector<std::uint8_t>* payload, std::string* error,
                      std::uint64_t* deadline_ms = nullptr,
                      int io_timeout_ms = 0,
-                     std::uint64_t* trace_id = nullptr,
-                     std::uint32_t* frame_version = nullptr);
+                     std::uint64_t* trace_id = nullptr);
 
-// Writes a `version` header + payload, stamping `deadline_ms` (v2+) and
-// `trace_id` (v3) into the header (0 = no deadline / untraced; the
-// deadline is only meaningful on request frames, the trace id on both —
-// replies echo it). The daemon passes the version of the request being
-// answered so a v1/v2 peer receives replies it can parse; an unknown
-// version falls back to v3. Returns false on any short or failed write
-// (e.g. the peer vanished); writing never raises SIGPIPE. A payload above
-// kMaxFramePayload is refused before any byte is written, so the stream
-// stays framed.
+// Writes the header + payload, stamping `deadline_ms` and `trace_id` into
+// the header (0 = no deadline / untraced; the deadline is only meaningful
+// on request frames, the trace id on both — replies echo it). Returns
+// false on any short or failed write (e.g. the peer vanished); writing
+// never raises SIGPIPE. A payload above kMaxFramePayload is refused before
+// any byte is written, so the stream stays framed.
 bool WriteFrame(int fd, FrameType type, const store::ChunkBuilder& payload,
                 std::string* error, std::uint64_t deadline_ms = 0,
-                std::uint64_t trace_id = 0,
-                std::uint32_t version = kProtocolVersion);
+                std::uint64_t trace_id = 0);
 
 // -- Payload builders / parsers ---------------------------------------------
 //
@@ -220,7 +203,7 @@ void PutError(std::uint64_t id, const std::string& message,
 bool GetError(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
               std::string* message, std::string* error);
 
-// kHealthInfo payload: id + the HealthInfo fields.
+// kHealthInfo payload: id + the HealthInfo fields, nothing after them.
 void PutHealthInfo(std::uint64_t id, const HealthInfo& info,
                    store::ChunkBuilder* out);
 bool GetHealthInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,

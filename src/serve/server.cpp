@@ -114,18 +114,14 @@ struct Server::Connection {
     ::shutdown(fd, SHUT_RDWR);
   }
 
-  // `trace_id` echoes the request's v3 trace field on the reply frame so
-  // the client's record for this attempt joins the server's; `version` is
-  // the version of the request being answered, so a v1/v2 peer receives a
-  // header it can parse.
+  // `trace_id` echoes the request's trace field on the reply frame so the
+  // client's record for this attempt joins the server's.
   bool SendFrame(FrameType type, const store::ChunkBuilder& payload,
-                 std::uint64_t trace_id = 0,
-                 std::uint32_t version = kProtocolVersion) {
+                 std::uint64_t trace_id = 0) {
     std::lock_guard<std::mutex> lock(write_mu);
     if (closed.load(std::memory_order_acquire)) return false;
     std::string error;
-    if (!WriteFrame(fd, type, payload, &error, /*deadline_ms=*/0, trace_id,
-                    version)) {
+    if (!WriteFrame(fd, type, payload, &error, /*deadline_ms=*/0, trace_id)) {
       c_write_failures.Increment();
       closed.store(true, std::memory_order_release);
       ::shutdown(fd, SHUT_RDWR);
@@ -135,21 +131,19 @@ struct Server::Connection {
   }
 
   bool SendError(std::uint64_t id, const std::string& message,
-                 std::uint64_t trace_id = 0,
-                 std::uint32_t version = kProtocolVersion) {
+                 std::uint64_t trace_id = 0) {
     store::ChunkBuilder payload;
     PutError(id, message, &payload);
     c_errors.Increment();
-    return SendFrame(FrameType::kError, payload, trace_id, version);
+    return SendFrame(FrameType::kError, payload, trace_id);
   }
 
   // Id-only reply (kOk / kOverloaded / kDeadlineExceeded / kShuttingDown).
   bool SendControl(FrameType type, std::uint64_t id,
-                   std::uint64_t trace_id = 0,
-                   std::uint32_t version = kProtocolVersion) {
+                   std::uint64_t trace_id = 0) {
     store::ChunkBuilder payload;
     PutControl(id, &payload);
-    return SendFrame(type, payload, trace_id, version);
+    return SendFrame(type, payload, trace_id);
   }
 
   // Explicit kCancel bookkeeping. The list is bounded (oldest evicted):
@@ -192,8 +186,7 @@ struct Server::Request {
   std::uint64_t enqueue_epoch = 0;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  std::uint64_t trace_id = 0;      // from the v3 frame header (0 = untraced)
-  std::uint32_t wire_version = kProtocolVersion;  // reply in this version
+  std::uint64_t trace_id = 0;      // from the frame header (0 = untraced)
   std::int64_t enqueue_nanos = 0;  // TraceNowNanos() at admission
   // Reply-side observability, filled by DispatchBatch (in-struct rather
   // than in side arrays so the per-batch bookkeeping costs no allocations).
@@ -545,10 +538,9 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
     std::string error;
     std::uint64_t deadline_ms = 0;
     std::uint64_t trace_id = 0;
-    std::uint32_t frame_version = kProtocolVersion;
     const ReadStatus status =
         ReadFrame(conn->fd, &type, &payload, &error, &deadline_ms,
-                  config_.io_timeout_ms, &trace_id, &frame_version);
+                  config_.io_timeout_ms, &trace_id);
     if (status == ReadStatus::kClosed) {
       disconnected = true;
       break;
@@ -564,10 +556,7 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
       disconnected = true;
       break;
     }
-    if (!HandleFrame(conn, type, payload, deadline_ms, trace_id,
-                     frame_version)) {
-      break;
-    }
+    if (!HandleFrame(conn, type, payload, deadline_ms, trace_id)) break;
   }
   // A disconnected client is no longer waiting: bump the epoch so workers
   // skip its queued queries before encoding them. A reader woken by the
@@ -589,8 +578,7 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
 bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          FrameType type,
                          const std::vector<std::uint8_t>& payload,
-                         std::uint64_t deadline_ms, std::uint64_t trace_id,
-                         std::uint32_t frame_version) {
+                         std::uint64_t deadline_ms, std::uint64_t trace_id) {
   std::string error;
   std::uint64_t id = 0;
   switch (type) {
@@ -600,7 +588,6 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       request.conn = conn;
       request.type = type;
       request.trace_id = trace_id;
-      request.wire_version = frame_version;
       // A rejected query still cuts a wide-event record: shed and malformed
       // requests are exactly the ones a latency investigation needs to see.
       // The name lives outside `request` because a failed TryPush leaves
@@ -629,27 +616,25 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       if (!query_parsed) {
         // Framing and CRC were fine, so the stream is still aligned: report
         // the malformed payload and keep the connection.
-        conn->SendError(request.id, error, trace_id, frame_version);
+        conn->SendError(request.id, error, trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
       if (request.query.tree.empty()) {
-        conn->SendError(request.id, "query AST is empty", trace_id,
-                        frame_version);
+        conn->SendError(request.id, "query AST is empty", trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
       if (type == FrameType::kTopK && request.k < 1) {
         conn->SendError(request.id,
                         "k must be >= 1, got " + std::to_string(request.k),
-                        trace_id, frame_version);
+                        trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
       if (type == FrameType::kAboveThreshold &&
           !std::isfinite(request.threshold)) {
-        conn->SendError(request.id, "threshold must be finite", trace_id,
-                        frame_version);
+        conn->SendError(request.id, "threshold must be finite", trace_id);
         cut_admission_record(util::RequestOutcome::kError, 0);
         return true;
       }
@@ -674,8 +659,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       if (!queue_->TryPush(std::move(request), high_water)) {
         if (queue_->closed()) {
           util::Timer reply_timer;
-          conn->SendControl(FrameType::kShuttingDown, request_id, trace_id,
-                            frame_version);
+          conn->SendControl(FrameType::kShuttingDown, request_id, trace_id);
           cut_admission_record(
               util::RequestOutcome::kShuttingDown,
               static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
@@ -683,8 +667,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
         }
         c_shed.Increment();
         util::Timer reply_timer;
-        conn->SendControl(FrameType::kOverloaded, request_id, trace_id,
-                          frame_version);
+        conn->SendControl(FrameType::kOverloaded, request_id, trace_id);
         cut_admission_record(
             util::RequestOutcome::kShed,
             static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
@@ -693,7 +676,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
     case FrameType::kPing: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.ping", util::RequestOutcome::kError,
                          0);
         return true;
@@ -702,14 +685,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutControl(id, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kPong, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kPong, reply, trace_id);
       CutControlRecord(trace_id, "serve.ping", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kReload: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.reload",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -718,7 +701,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       // Reload on the reader thread: only this connection waits for the
       // load; workers keep answering against the pinned old snapshot.
       if (!Reload(&error)) {
-        conn->SendError(id, error, trace_id, frame_version);
+        conn->SendError(id, error, trace_id);
         CutControlRecord(trace_id, "serve.reload",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -726,14 +709,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutControl(id, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kOk, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kOk, reply, trace_id);
       CutControlRecord(trace_id, "serve.reload", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kShutdown: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.shutdown",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -742,7 +725,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutControl(id, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kOk, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kOk, reply, trace_id);
       CutControlRecord(trace_id, "serve.shutdown", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       RequestStop();
@@ -750,7 +733,7 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
     case FrameType::kCancel: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.cancel",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -761,14 +744,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       // query was caught in time.
       conn->Cancel(id);
       util::Timer reply_timer;
-      conn->SendControl(FrameType::kOk, id, trace_id, frame_version);
+      conn->SendControl(FrameType::kOk, id, trace_id);
       CutControlRecord(trace_id, "serve.cancel", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kHealth: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.health",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -786,14 +769,14 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutHealthInfo(id, info, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kHealthInfo, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kHealthInfo, reply, trace_id);
       CutControlRecord(trace_id, "serve.health", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     case FrameType::kStats: {
       if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id, frame_version);
+        conn->SendError(0, error, trace_id);
         CutControlRecord(trace_id, "serve.stats",
                          util::RequestOutcome::kError, 0);
         return true;
@@ -817,15 +800,20 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       store::ChunkBuilder reply;
       PutStatsInfo(id, info, &reply);
       util::Timer reply_timer;
-      conn->SendFrame(FrameType::kStatsInfo, reply, trace_id, frame_version);
+      conn->SendFrame(FrameType::kStatsInfo, reply, trace_id);
       CutControlRecord(trace_id, "serve.stats", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
     default:
-      conn->SendError(0, "unexpected frame type " +
-                             std::to_string(static_cast<std::uint32_t>(type)),
-                      trace_id, frame_version);
+      // One record per frame, unknown types included: the error reply is a
+      // request outcome like any other.
+      conn->SendError(0,
+                      "unexpected frame type " +
+                          std::to_string(static_cast<std::uint32_t>(type)),
+                      trace_id);
+      CutControlRecord(trace_id, "serve.unknown", util::RequestOutcome::kError,
+                       0);
       return true;
   }
 }
@@ -903,8 +891,8 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     if (req.has_deadline && now >= req.deadline) {
       c_deadline_exceeded.Increment();
       util::Timer reply_timer;
-      req.conn->SendControl(FrameType::kDeadlineExceeded, req.id, req.trace_id,
-                            req.wire_version);
+      req.conn->SendControl(FrameType::kDeadlineExceeded, req.id,
+                            req.trace_id);
       cut_triage_record(req, util::RequestOutcome::kDeadlineExceeded,
                         static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       continue;
@@ -912,8 +900,7 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     if (drain_expired) {
       c_drain_dropped.Increment();
       util::Timer reply_timer;
-      req.conn->SendControl(FrameType::kShuttingDown, req.id, req.trace_id,
-                            req.wire_version);
+      req.conn->SendControl(FrameType::kShuttingDown, req.id, req.trace_id);
       cut_triage_record(req, util::RequestOutcome::kShuttingDown,
                         static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       continue;
@@ -974,10 +961,10 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
                 std::to_string(reply.size()) + "-byte reply, over the " +
                 std::to_string(kMaxFramePayload) +
                 "-byte frame cap; raise the threshold or lower k",
-            req.trace_id, req.wire_version);
+            req.trace_id);
       } else {
-        req.replied = req.conn->SendFrame(FrameType::kHits, reply,
-                                          req.trace_id, req.wire_version);
+        req.replied =
+            req.conn->SendFrame(FrameType::kHits, reply, req.trace_id);
       }
       req.reply_nanos =
           static_cast<std::uint64_t>(util::TraceNowNanos() - reply_start);

@@ -18,8 +18,8 @@
 // SearchIndex::TopKBatch: one sweep over the index scores every coalesced
 // query.
 //
-// Request lifecycle (v2): each query may carry a deadline budget in its
-// frame header; a worker that dequeues an already-expired query replies
+// Request lifecycle: each query may carry a deadline budget in its frame
+// header; a worker that dequeues an already-expired query replies
 // kDeadlineExceeded without encoding it. A reader that sees its client
 // disconnect bumps the connection's cancellation epoch so the client's
 // queued queries are skipped before the expensive encode; an explicit
@@ -143,8 +143,7 @@ class Server {
   void DispatchBatch(std::vector<Request>* batch);
   bool HandleFrame(const std::shared_ptr<Connection>& conn, FrameType type,
                    const std::vector<std::uint8_t>& payload,
-                   std::uint64_t deadline_ms, std::uint64_t trace_id,
-                   std::uint32_t frame_version);
+                   std::uint64_t deadline_ms, std::uint64_t trace_id);
   std::size_t LiveConnections();
   // Telemetry sampler (kStats / `ctl top`). TakeSample appends one tick to
   // the ring; TelemetryLoop runs it every telemetry_interval_ms until

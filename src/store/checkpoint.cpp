@@ -65,17 +65,6 @@ bool SaveModelCheckpoint(const nn::ParameterStore& params,
 
 bool LoadModelCheckpoint(nn::ParameterStore* params, const std::string& path,
                          std::string* error) {
-  if (!IsContainerFile(path)) {
-    // Legacy "asteria-params v1" text-header format (or garbage — the
-    // legacy loader validates its own magic and reports failures).
-    if (!params->Load(path)) {
-      return Fail(path + ": not a container checkpoint and the legacy "
-                         "asteria-params v1 loader rejected it",
-                  error);
-    }
-    return true;
-  }
-
   std::string io_error;
   Reader reader;
   if (!reader.Open(path, kKindModel, &io_error)) return Fail(io_error, error);

@@ -3,9 +3,8 @@
 // A checkpoint is a kKindModel container holding one MMET chunk (schema
 // version, parameter count, total weights, weights CRC fingerprint) and one
 // PARM chunk per parameter (name, rows, cols, raw little-endian doubles).
-// This replaces the legacy "asteria-params v1" text-header format as the
-// write format; LoadModelCheckpoint still reads legacy files by dispatching
-// on the file magic, so old weight files keep working.
+// It is the only weights format: any other file fails the container's
+// header checks (bad magic) before a value is read.
 //
 // Loading is all-or-nothing: every parameter of the destination store must
 // be present with matching shape before any value is committed, so a failed
@@ -28,9 +27,9 @@ std::uint32_t WeightsFingerprint(const nn::ParameterStore& params);
 bool SaveModelCheckpoint(const nn::ParameterStore& params,
                          const std::string& path, std::string* error);
 
-// Loads parameter values into an already-constructed store. Accepts both
-// container checkpoints and legacy "asteria-params v1" files. The file must
-// cover exactly the store's parameter set (same names, same shapes).
+// Loads parameter values into an already-constructed store from a
+// container checkpoint. The file must cover exactly the store's parameter
+// set (same names, same shapes).
 bool LoadModelCheckpoint(nn::ParameterStore* params, const std::string& path,
                          std::string* error);
 

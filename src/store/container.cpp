@@ -534,17 +534,6 @@ bool Reader::ReadChunk(std::size_t index, std::vector<std::uint8_t>* payload,
   return true;
 }
 
-bool IsContainerFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char magic[sizeof(kMagic)];
-  const bool matches =
-      std::fread(magic, 1, sizeof(magic), file) == sizeof(magic) &&
-      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-  std::fclose(file);
-  return matches;
-}
-
 bool PeekKind(const std::string& path, std::uint32_t* kind,
               std::string* error) {
   std::FILE* file =

@@ -186,11 +186,6 @@ class Reader {
   std::vector<ChunkInfo> chunks_;
 };
 
-// True if `path` starts with the container magic (used to dispatch between
-// the container checkpoint format and the legacy "asteria-params v1" text
-// format when loading model weights).
-bool IsContainerFile(const std::string& path);
-
 // Reads only the 20-byte header at `path` and validates it with the same
 // checks as Reader::Open (magic, version, endianness); fills `kind` with its
 // fourcc. No chunk is scanned, so a kind-dispatching opener can leave the

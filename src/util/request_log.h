@@ -7,10 +7,11 @@
 // query": which trace id, which op, how long it waited in the queue, how
 // long encode and score took, what batch it rode in, how many candidate
 // pairs were scored vs pruned, and how much deadline budget was left. The
-// serve daemon appends one record per request (answered, shed, cancelled,
-// deadline-exceeded, or drained), serve::Client appends one per wire
-// attempt, and ingest appends one per pipeline op — the two sides join on
-// the trace id carried in the v3 ASRV frame (docs/SERVING.md).
+// serve daemon appends one record per request frame (answered, shed,
+// cancelled, deadline-exceeded, drained, or of an unknown type),
+// serve::Client appends one per wire attempt, and ingest appends one per
+// pipeline op — the two sides join on the trace id carried in the ASRV
+// frame header (docs/SERVING.md).
 //
 // Hot-path contract: Append is wait-free — one relaxed fetch_add to claim a
 // slot, then a seqlock-versioned field-by-field store (all fields atomic,

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <functional>
+#include <stdexcept>
 
 #include "nn/autograd.h"
 #include "nn/optimizer.h"
@@ -202,42 +202,10 @@ TEST(Optimizer, SgdWithClipping) {
   EXPECT_NEAR(w->value(0, 0), 99.9, 1e-9);
 }
 
-TEST(ParameterStore, SaveLoadRoundTrip) {
-  util::Rng rng(9);
-  const std::string path = "/tmp/asteria_params_test.bin";
-  ParameterStore store1;
-  Parameter* a1 = store1.CreateXavier("a", 3, 4, rng);
-  Parameter* b1 = store1.CreateXavier("b", 2, 2, rng);
-  ASSERT_TRUE(store1.Save(path));
-  ParameterStore store2;
-  Parameter* a2 = store2.Create("a", 3, 4);
-  Parameter* b2 = store2.Create("b", 2, 2);
-  ASSERT_TRUE(store2.Load(path));
-  for (std::size_t i = 0; i < a1->value.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a2->value[i], a1->value[i]);
-  }
-  for (std::size_t i = 0; i < b1->value.size(); ++i) {
-    EXPECT_DOUBLE_EQ(b2->value[i], b1->value[i]);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(ParameterStore, RejectsDuplicateNames) {
   ParameterStore store;
   store.Create("x", 1, 1);
   EXPECT_THROW(store.Create("x", 2, 2), std::invalid_argument);
-}
-
-TEST(ParameterStore, LoadRejectsShapeMismatch) {
-  util::Rng rng(10);
-  const std::string path = "/tmp/asteria_params_test2.bin";
-  ParameterStore store1;
-  store1.CreateXavier("a", 3, 4, rng);
-  ASSERT_TRUE(store1.Save(path));
-  ParameterStore store2;
-  store2.Create("a", 4, 4);
-  EXPECT_FALSE(store2.Load(path));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -156,8 +156,9 @@ TEST_F(RobustnessTest, WriterOpenWriteRenameFailuresLeaveNoValidFile) {
     if (ok) ok = writer.Finish(&error);
     EXPECT_FALSE(ok) << point;
     EXPECT_FALSE(error.empty()) << point;
-    // Neither the final path nor a stale temp may open as a container.
-    EXPECT_FALSE(store::IsContainerFile(path)) << point;
+    // Nothing at the final path may open as a container.
+    std::uint32_t kind = 0;
+    EXPECT_FALSE(store::PeekKind(path, &kind, &error)) << point;
     EXPECT_FALSE(FileExists(path)) << point;
   }
 }
@@ -279,31 +280,6 @@ TEST_F(RobustnessTest, CheckpointReadFailpointLeavesTargetUntouched) {
   Arm("store.read=always");
   EXPECT_FALSE(store::LoadModelCheckpoint(&loaded, path, &error));
   EXPECT_EQ(store::WeightsFingerprint(loaded), before);
-}
-
-TEST_F(RobustnessTest, LegacyParamsFailpointsCoverAllIoPaths) {
-  const std::string path = TempPath("legacy_io_fail.params");
-  nn::ParameterStore params;
-  FillStore(&params, 11);
-  ASSERT_TRUE(params.Save(path));
-  const std::vector<std::uint8_t> before = ReadAll(path);
-
-  for (const char* spec : {"params.open=always", "params.write=always",
-                           "params.rename=always"}) {
-    util::ClearFailpoints();
-    Arm(spec);
-    EXPECT_FALSE(params.Save(path)) << spec;
-    EXPECT_EQ(ReadAll(path), before) << spec;
-    std::remove((path + ".tmp").c_str());
-  }
-
-  util::ClearFailpoints();
-  Arm("params.read=always");
-  nn::ParameterStore loaded;
-  FillStore(&loaded, 99);
-  const std::uint32_t fingerprint = store::WeightsFingerprint(loaded);
-  EXPECT_FALSE(loaded.Load(path));
-  EXPECT_EQ(store::WeightsFingerprint(loaded), fingerprint);
 }
 
 TEST_F(RobustnessTest, NanCheckpointRefusedOnLoad) {
@@ -500,7 +476,9 @@ TEST_F(RobustnessTest, CorruptCorpusCacheIsQuarantinedAndRebuilt) {
   std::remove((path + ".corrupt").c_str());
   const dataset::CorpusConfig config = TinyCorpusConfig();
   const dataset::Corpus cold = dataset::BuildOrLoadCorpus(config, path);
-  ASSERT_TRUE(store::IsContainerFile(path));
+  std::uint32_t kind = 0;
+  std::string error;
+  ASSERT_TRUE(store::PeekKind(path, &kind, &error)) << error;
 
   // Corrupt the cache in place.
   std::vector<std::uint8_t> bytes = ReadAll(path);
@@ -511,7 +489,7 @@ TEST_F(RobustnessTest, CorruptCorpusCacheIsQuarantinedAndRebuilt) {
   // The bad cache was moved aside, a fresh one written, and the rebuilt
   // corpus matches the cold build exactly.
   EXPECT_TRUE(FileExists(path + ".corrupt"));
-  EXPECT_TRUE(store::IsContainerFile(path));
+  EXPECT_TRUE(store::PeekKind(path, &kind, &error)) << error;
   ASSERT_EQ(rebuilt.functions.size(), cold.functions.size());
   for (std::size_t i = 0; i < cold.functions.size(); ++i) {
     EXPECT_EQ(rebuilt.functions[i].function, cold.functions[i].function);

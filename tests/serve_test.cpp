@@ -230,10 +230,9 @@ void PutLe64(std::uint64_t v, std::vector<std::uint8_t>* out) {
 }
 
 // The byte-exact frame layout from docs/SERVING.md, hard-coded on purpose:
-// this is the conformance side of the spec, independent of WriteFrame. A
-// v2 header carries the trailing deadline field, a v3 header deadline +
-// trace id; any other version value gets the bare 24-byte prefix (v1's
-// layout, also what makes bad-version frames byte-plausible).
+// this is the conformance side of the spec, independent of WriteFrame. The
+// 40-byte header is written whatever `version` says, so a bad-version frame
+// is otherwise byte-plausible.
 std::vector<std::uint8_t> BuildFrameBytes(std::uint32_t magic,
                                           std::uint32_t version,
                                           std::uint32_t type,
@@ -246,11 +245,8 @@ std::vector<std::uint8_t> BuildFrameBytes(std::uint32_t magic,
   PutLe32(type, &frame);
   PutLe32(store::Crc32(payload.bytes().data(), payload.size()), &frame);
   PutLe64(payload.size(), &frame);
-  if (version == serve::kProtocolVersion ||
-      version == serve::kProtocolVersionV2) {
-    PutLe64(deadline_ms, &frame);
-  }
-  if (version == serve::kProtocolVersion) PutLe64(trace_id, &frame);
+  PutLe64(deadline_ms, &frame);
+  PutLe64(trace_id, &frame);
   frame.insert(frame.end(), payload.bytes().begin(), payload.bytes().end());
   return frame;
 }
@@ -352,6 +348,33 @@ void ExpectSurvives(const std::string& socket_path,
   // declared length); a send failure is fine, a hang is not.
   SendAll(fd, bytes);
   EXPECT_NE(AwaitOutcome(fd), Outcome::kHang) << what << ": daemon hung";
+  ::close(fd);
+}
+
+// Sends `bytes` as one connection and requires what a framing violation
+// earns: one kError whose message contains `expect`, then a hang-up.
+void ExpectRejected(const std::string& socket_path,
+                    const std::vector<std::uint8_t>& bytes,
+                    const std::string& expect) {
+  const int fd = ConnectRaw(socket_path);
+  ASSERT_GE(fd, 0) << expect << ": connect failed";
+  SendAll(fd, bytes);
+  serve::FrameType type = serve::FrameType::kPing;
+  std::vector<std::uint8_t> reply;
+  std::string error;
+  ASSERT_EQ(serve::ReadFrame(fd, &type, &reply, &error),
+            serve::ReadStatus::kFrame)
+      << expect << ": " << error;
+  EXPECT_EQ(type, serve::FrameType::kError) << expect;
+  std::uint64_t id = 0;
+  std::string message;
+  ASSERT_TRUE(serve::GetError(reply, &id, &message, &error)) << error;
+  EXPECT_NE(message.find(expect), std::string::npos) << message;
+  // EOF, or ECONNRESET when the daemon closed with frame bytes unread.
+  std::uint8_t byte = 0;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET))
+      << expect << ": connection not closed after the kError";
   ::close(fd);
 }
 
@@ -800,19 +823,33 @@ TEST_F(HostileTest, MalformedHeadersAreRejectedCleanly) {
                                      serve::FrameType::kPing),
                                  ping),
                  "wrong magic");
-  // Wrong protocol version.
-  ExpectSurvives(socket_path_,
+  // Any version but the current one is a framing violation, whatever
+  // header length it implies: the daemon reads the full 40-byte header,
+  // answers kError and hangs up. A TopK frame in the retired v1 layout
+  // (24-byte header) and v2 layout (32-byte header) is long enough to fill
+  // it.
+  const std::vector<std::uint8_t> topk = BuildTopKFrameBytes(queries_[0], 3);
+  std::vector<std::uint8_t> v1 = topk;
+  v1[4] = 1;
+  v1.erase(v1.begin() + 24, v1.begin() + 40);
+  ExpectRejected(socket_path_, v1, "unsupported protocol version 1");
+  std::vector<std::uint8_t> v2 = topk;
+  v2[4] = 2;
+  v2.erase(v2.begin() + 32, v2.begin() + 40);
+  ExpectRejected(socket_path_, v2, "unsupported protocol version 2");
+  ExpectRejected(socket_path_,
                  BuildFrameBytes(serve::kServeMagic, 99,
                                  static_cast<std::uint32_t>(
                                      serve::FrameType::kPing),
                                  ping),
-                 "wrong version");
+                 "unsupported protocol version 99");
   // Unknown frame type (well-formed otherwise).
   ExpectSurvives(socket_path_,
                  BuildFrameBytes(serve::kServeMagic, serve::kProtocolVersion,
                                  12345, ping),
                  "unknown type");
-  // Oversized declared payload: must be refused before any allocation.
+  // Oversized declared payload: a full header whose length is over the cap
+  // is refused before any allocation.
   {
     std::vector<std::uint8_t> frame;
     PutLe32(serve::kServeMagic, &frame);
@@ -820,7 +857,10 @@ TEST_F(HostileTest, MalformedHeadersAreRejectedCleanly) {
     PutLe32(static_cast<std::uint32_t>(serve::FrameType::kTopK), &frame);
     PutLe32(0, &frame);
     PutLe64(serve::kMaxFramePayload + 1, &frame);
-    ExpectSurvives(socket_path_, frame, "oversized declared length");
+    PutLe64(0, &frame);  // deadline_ms
+    PutLe64(0, &frame);  // trace_id
+    ASSERT_EQ(frame.size(), serve::kFrameHeaderSize);
+    ExpectRejected(socket_path_, frame, "frame cap");
   }
   ExpectStillServing();
 }
@@ -1610,7 +1650,7 @@ TEST_F(ServeTest, MaxConnsRejectsTheExcessConnection) {
 
 // ---------------------------------------------------------------------------
 // Per-request tracing & live telemetry (docs/OBSERVABILITY.md "Per-request
-// tracing"): v3 trace-id plumbing, wide-event request-log completeness,
+// tracing"): trace-id plumbing, wide-event request-log completeness,
 // kStats, and the slow-query capture.
 
 int CountRecords(const std::vector<util::RequestRecord>& records,
@@ -1657,49 +1697,6 @@ void AwaitOpRecordCount(const char* op, int want) {
   FAIL() << op << " never reached " << want << " records";
 }
 
-TEST_F(ServeTest, OlderFrameVersionsStillAccepted) {
-  const core::AsteriaModel model(SmallModelConfig());
-  const auto features = SyntheticFeatures(10, 241);
-  const std::string index_path = TempPath("serve_ver.idx");
-  SaveIndexSnapshot(model, features, index_path);
-  const std::string socket_path = TempPath("serve_ver.sock");
-  Harness harness(model, index_path, socket_path, /*workers=*/1);
-  ASSERT_TRUE(harness.started());
-
-  // A v1 frame is the bare 24-byte header, a v2 frame adds the deadline —
-  // both predate trace ids and both must still answer. The reply echoes the
-  // *request's* version (an old client would reject a v3 reply header as an
-  // unsupported version), so the trace field stays 0 (nothing to carry it).
-  std::string error;
-  for (const std::uint32_t version :
-       {serve::kProtocolVersionV1, serve::kProtocolVersionV2}) {
-    const int fd = ConnectRaw(socket_path);
-    ASSERT_GE(fd, 0) << "version=" << version;
-    store::ChunkBuilder payload;
-    serve::PutControl(/*id=*/5, &payload);
-    ASSERT_TRUE(SendAll(
-        fd, BuildFrameBytes(serve::kServeMagic, version,
-                            static_cast<std::uint32_t>(serve::FrameType::kPing),
-                            payload)));
-    serve::FrameType type = serve::FrameType::kError;
-    std::vector<std::uint8_t> reply;
-    std::uint64_t reply_trace = 99;
-    std::uint32_t reply_version = 0;
-    ASSERT_EQ(serve::ReadFrame(fd, &type, &reply, &error,
-                               /*deadline_ms=*/nullptr, /*io_timeout_ms=*/0,
-                               &reply_trace, &reply_version),
-              serve::ReadStatus::kFrame)
-        << "version=" << version << ": " << error;
-    EXPECT_EQ(type, serve::FrameType::kPong) << "version=" << version;
-    EXPECT_EQ(reply_version, version) << "reply must echo request version";
-    EXPECT_EQ(reply_trace, 0u) << "version=" << version;
-    std::uint64_t id = 0;
-    ASSERT_TRUE(serve::GetControl(reply, &id, &error)) << error;
-    EXPECT_EQ(id, 5u);
-    ::close(fd);
-  }
-}
-
 TEST_F(ServeTest, TraceIdIsEchoedOnReplies) {
   const core::AsteriaModel model(SmallModelConfig());
   const auto features = SyntheticFeatures(10, 251);
@@ -1709,6 +1706,7 @@ TEST_F(ServeTest, TraceIdIsEchoedOnReplies) {
   Harness harness(model, index_path, socket_path, /*workers=*/1);
   ASSERT_TRUE(harness.started());
 
+  util::GlobalRequestLog().ResetForTest();
   const auto queries = SyntheticFeatures(1, 252);
   const std::uint64_t trace = 0xfeedbeefcafe0123ull;
   const int fd = ConnectRaw(socket_path);
@@ -1744,7 +1742,122 @@ TEST_F(ServeTest, TraceIdIsEchoedOnReplies) {
       << error;
   EXPECT_EQ(type, serve::FrameType::kPong);
   EXPECT_EQ(reply_trace, trace + 1);
+
+  // An unknown frame type is answered kError with the echo, and cuts one
+  // request record like every other frame.
+  ASSERT_TRUE(SendAll(fd, BuildFrameBytes(serve::kServeMagic,
+                                          serve::kProtocolVersion, 12345, ping,
+                                          /*deadline_ms=*/0, trace + 2)));
+  reply_trace = 0;
+  ASSERT_EQ(serve::ReadFrame(fd, &type, &reply, &error,
+                             /*deadline_ms=*/nullptr, /*io_timeout_ms=*/0,
+                             &reply_trace),
+            serve::ReadStatus::kFrame)
+      << error;
+  EXPECT_EQ(type, serve::FrameType::kError);
+  EXPECT_EQ(reply_trace, trace + 2);
   ::close(fd);
+  // The record is cut after the reply is written: poll for it.
+  const auto carrying_trace = [&] {
+    std::vector<util::RequestRecord> found;
+    for (const util::RequestRecord& record :
+         util::GlobalRequestLog().Snapshot()) {
+      if (record.trace_id == trace + 2) found.push_back(record);
+    }
+    return found;
+  };
+  std::vector<util::RequestRecord> records = carrying_trace();
+  for (int i = 0; i < 500 && records.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    records = carrying_trace();
+  }
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_STREQ(records[0].op, "serve.unknown");
+  EXPECT_EQ(records[0].outcome, util::RequestOutcome::kError);
+}
+
+TEST_F(ServeTest, ClientRejectsARepliedTraceIdThatIsNotTheEcho) {
+  // A fake daemon answers each ping with the right correlation id but the
+  // wrong trace echo: 0 first, then trace + 1. Either way the frames are
+  // crossed, and the client must fail the call instead of trusting it.
+  const std::string socket_path = TempPath("serve_fake_peer.sock");
+  ::unlink(socket_path.c_str());
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  for (const bool zero_echo : {true, false}) {
+    serve::Client client;
+    std::string error;
+    ASSERT_TRUE(client.Connect(socket_path, &error)) << error;
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    std::thread peer([fd, zero_echo] {
+      serve::FrameType type = serve::FrameType::kError;
+      std::vector<std::uint8_t> request;
+      std::string peer_error;
+      std::uint64_t trace = 0;
+      std::uint64_t id = 0;
+      if (serve::ReadFrame(fd, &type, &request, &peer_error, nullptr, 0,
+                           &trace) == serve::ReadStatus::kFrame &&
+          serve::GetControl(request, &id, &peer_error)) {
+        store::ChunkBuilder pong;
+        serve::PutControl(id, &pong);
+        serve::WriteFrame(fd, serve::FrameType::kPong, pong, &peer_error, 0,
+                          zero_echo ? 0 : trace + 1);
+      }
+      ::close(fd);
+    });
+    EXPECT_FALSE(client.Ping(&error)) << "zero_echo=" << zero_echo;
+    peer.join();
+    EXPECT_NE(error.find("frames crossed"), std::string::npos) << error;
+  }
+  ::close(listen_fd);
+  ::unlink(socket_path.c_str());
+}
+
+TEST_F(ServeTest, HealthInfoPayloadMustEndAfterTheTotals) {
+  serve::HealthInfo info;
+  info.index_size = 20;
+  info.connections = 1;
+  info.uptime_ms = 1500;
+  info.answered = 7;
+  info.shed = 2;
+  info.deadline_exceeded = 1;
+  store::ChunkBuilder full;
+  serve::PutHealthInfo(9, info, &full);
+  std::uint64_t id = 0;
+  serve::HealthInfo parsed;
+  std::string error;
+  ASSERT_TRUE(serve::GetHealthInfo(full.bytes(), &id, &parsed, &error))
+      << error;
+  EXPECT_EQ(id, 9u);
+  EXPECT_EQ(parsed.index_size, 20u);
+  EXPECT_EQ(parsed.answered, 7u);
+  EXPECT_EQ(parsed.deadline_exceeded, 1u);
+
+  // The five-field payload without the cumulative totals: id, index size,
+  // queue depth, connections, draining.
+  store::ChunkBuilder short_payload;
+  short_payload.PutU64(9);
+  short_payload.PutU64(20);
+  short_payload.PutU64(0);
+  short_payload.PutU64(1);
+  short_payload.PutU32(0);
+  EXPECT_FALSE(
+      serve::GetHealthInfo(short_payload.bytes(), &id, &parsed, &error));
+
+  store::ChunkBuilder trailing;
+  serve::PutHealthInfo(9, info, &trailing);
+  trailing.PutU8(0);
+  error.clear();
+  EXPECT_FALSE(serve::GetHealthInfo(trailing.bytes(), &id, &parsed, &error));
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
 TEST_F(ServeTest, ClientAndServerRecordsJoinOnTraceId) {
@@ -2061,7 +2174,7 @@ TEST_F(ServeTest, SlowQueryCaptureSpillsAnsweredQueries) {
   for (const util::ParsedRequestRecord& record : records) {
     EXPECT_EQ(record.op, "serve.topk");
     EXPECT_EQ(record.outcome, "ok");
-    EXPECT_NE(record.trace_id, 0u);  // minted by the client, carried v3
+    EXPECT_NE(record.trace_id, 0u);  // minted by the client
     EXPECT_EQ(record.name.substr(0, 2), "fn");
     EXPECT_GT(record.batch_size, 0u);
     EXPECT_GT(record.scored_pairs, 0u);

@@ -1,8 +1,8 @@
 // Persistence-layer tests: the chunked container format, model
-// checkpoints (incl. the legacy "asteria-params v1" fixture), SearchIndex
-// snapshots, and corpus caches. The recurring theme is the error contract:
-// corruption, truncation, and mismatched artifacts must fail loudly with a
-// descriptive reason and never commit partial state.
+// checkpoints, SearchIndex snapshots, and corpus caches. The recurring
+// theme is the error contract: corruption, truncation, and mismatched
+// artifacts must fail loudly with a descriptive reason and never commit
+// partial state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,7 +74,6 @@ TEST(Container, RoundTripsScalarsStringsAndArrays) {
     ASSERT_TRUE(writer.Finish(&error)) << error;
   }
 
-  ASSERT_TRUE(store::IsContainerFile(path));
   store::Reader reader;
   std::string error;
   ASSERT_TRUE(reader.Open(path, store::kKindModel, &error)) << error;
@@ -122,9 +121,12 @@ TEST(Container, RejectsBadMagic) {
   const std::string path = TempPath("container_bad_magic.bin");
   WriteAll(path, {'n', 'o', 't', 'a', 's', 't', 'o', 'r', 0, 0, 0, 0,
                   0, 0, 0, 0, 0, 0, 0, 0});
-  EXPECT_FALSE(store::IsContainerFile(path));
-  store::Reader reader;
+  std::uint32_t kind = 0;
   std::string error;
+  EXPECT_FALSE(store::PeekKind(path, &kind, &error));
+  EXPECT_NE(error.find("magic"), std::string::npos) << error;
+  store::Reader reader;
+  error.clear();
   EXPECT_FALSE(reader.Open(path, store::kKindModel, &error));
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
@@ -349,28 +351,11 @@ TEST(Checkpoint, BitFlipRejected) {
   EXPECT_EQ(store::WeightsFingerprint(loaded), before);
 }
 
-// ---------------------------------------------------------------------------
-// Legacy "asteria-params v1" compatibility
-
-TEST(LegacyParams, SavedFileStillLoadsThroughCheckpointApi) {
-  const std::string path = TempPath("legacy_saved.params");
-  nn::ParameterStore saved;
-  FillStore(&saved, 11);
-  ASSERT_TRUE(saved.Save(path));  // legacy writer
-  EXPECT_FALSE(store::IsContainerFile(path));
-
-  nn::ParameterStore loaded;
-  FillStore(&loaded, 99);
-  std::string error;
-  ASSERT_TRUE(store::LoadModelCheckpoint(&loaded, path, &error)) << error;
-  EXPECT_TRUE(SameValues(saved, loaded));
-}
-
-TEST(LegacyParams, HandCraftedV1FixtureLoads) {
-  // Byte-for-byte what the v1 codec emits: text header, then per parameter
-  // "name rows cols\n" + raw little-endian doubles + "\n". Pinning the
-  // format here keeps old weight files loadable forever.
-  const std::string path = TempPath("legacy_fixture.params");
+TEST(Checkpoint, RejectsNonContainerWeightsWithoutMutating) {
+  // The old text-header weights codec: header line, count, then per
+  // parameter "name rows cols\n", raw doubles and "\n". Only the container
+  // format loads; these bytes fail its magic check before a value is read.
+  const std::string path = TempPath("checkpoint_text_weights.params");
   const double values[4] = {0.5, -1.0, 2.0, -4.0};
   {
     std::ofstream out(path, std::ios::binary);
@@ -379,50 +364,13 @@ TEST(LegacyParams, HandCraftedV1FixtureLoads) {
     out << "\n";
   }
   nn::ParameterStore params;
-  params.Create("w", 2, 2);
-  ASSERT_TRUE(params.Load(path));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(params.parameters()[0]->value[static_cast<std::size_t>(i)],
-              values[i]);
-  }
-}
-
-TEST(LegacyParams, RejectsTruncationWithoutMutating) {
-  const std::string path = TempPath("legacy_truncated.params");
-  nn::ParameterStore saved;
-  FillStore(&saved, 11);
-  ASSERT_TRUE(saved.Save(path));
-  std::vector<std::uint8_t> bytes = ReadAll(path);
-  bytes.resize(bytes.size() - 12);
-  WriteAll(path, bytes);
-
-  nn::ParameterStore loaded;
-  FillStore(&loaded, 99);
-  const std::uint32_t before = store::WeightsFingerprint(loaded);
-  EXPECT_FALSE(loaded.Load(path));
-  EXPECT_EQ(store::WeightsFingerprint(loaded), before);
-}
-
-TEST(LegacyParams, RejectsAbsurdDeclaredCount) {
-  const std::string path = TempPath("legacy_absurd_count.params");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "asteria-params v1\n999999999\n";
-  }
-  nn::ParameterStore params;
-  params.Create("w", 2, 2);
-  EXPECT_FALSE(params.Load(path));
-}
-
-TEST(LegacyParams, RejectsCountMismatch) {
-  const std::string path = TempPath("legacy_count_mismatch.params");
-  nn::ParameterStore saved;
-  FillStore(&saved, 11);  // two parameters
-  ASSERT_TRUE(saved.Save(path));
-
-  nn::ParameterStore one;
-  one.Create("w_left", 3, 4);
-  EXPECT_FALSE(one.Load(path));
+  util::Rng rng(5);
+  params.CreateXavier("w", 2, 2, rng);
+  const std::uint32_t before = store::WeightsFingerprint(params);
+  std::string error;
+  EXPECT_FALSE(store::LoadModelCheckpoint(&params, path, &error));
+  EXPECT_NE(error.find("magic"), std::string::npos) << error;
+  EXPECT_EQ(store::WeightsFingerprint(params), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -702,7 +650,9 @@ TEST(CorpusCache, BuildOrLoadWritesThenReusesCache) {
   const dataset::CorpusConfig config = TinyCorpusConfig();
   const dataset::Corpus first = dataset::BuildOrLoadCorpus(config, path);
   // The miss must have written a cache...
-  ASSERT_TRUE(store::IsContainerFile(path));
+  std::uint32_t kind = 0;
+  std::string error;
+  ASSERT_TRUE(store::PeekKind(path, &kind, &error)) << error;
   // ...that the second call loads to the same corpus.
   const dataset::Corpus second = dataset::BuildOrLoadCorpus(config, path);
   ExpectSameCorpus(first, second);
