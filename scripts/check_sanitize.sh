@@ -24,6 +24,10 @@
 # blocked-GEMM sweep vs brute-force reference at threads 1/2/8 on monolithic
 # and sharded indexes — so TSan covers the lazy side-index rebuild and the
 # shard-local heap merge (docs/PERFORMANCE.md "Sub-linear TopK").
+# train_test runs the fused training kernel against the tape oracle, so
+# ASan+UBSan check its arena indexing (node id x h, position x width, the
+# 6h x n gradient matrix) on every config, a single-node tree and a
+# 2,000-node LCRS chain (docs/PERFORMANCE.md "The training path").
 # CI-friendly: exits non-zero on build failure, test failure, or any
 # sanitizer report.
 #
@@ -41,7 +45,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 TESTS=(util_test determinism_test core_test dataset_test store_test
        search_index_test robustness_test fast_encoder_test metrics_test
-       serve_test ingest_test)
+       serve_test ingest_test train_test)
 # san_build (scripts/lib.sh) also exports the halt_on_error options: any
 # sanitizer report is a non-zero exit even if the race would not otherwise
 # crash the test.

@@ -1,5 +1,6 @@
 #include "core/siamese.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -11,8 +12,6 @@
 namespace asteria::core {
 
 using nn::Matrix;
-using nn::Tape;
-using nn::Var;
 
 namespace {
 
@@ -26,42 +25,112 @@ util::Counter c_encode_fast("encode.fast");
 util::Counter c_encode_tape("encode.tape");
 util::Counter c_weight_refresh("encode.weight_refresh");
 
+// The autograd BceLoss clamp and Cosine epsilon (nn/autograd.cpp), which
+// the training heads replay.
+constexpr double kBceEps = 1e-7;
+constexpr double kCosineEps = 1e-12;
+
+// The training heads below compute the loss of one pair and its gradient
+// with the arithmetic, in the order, that the autograd backward runs over
+// the graph of the same head (tests/train_oracle.cpp): every accumulator
+// starts at 0.0 and takes its terms newest graph node first.
+
+// Eq. (8) — softmax(sigmoid(cat(|e1-e2|, e1.e2))^T W) — and BCE against
+// the one-hot target. Fills features (2h), d_logits (2) and d loss / d e1,
+// e2; W's gradient is features · d_logits^T.
+double ClassifierStep(const double* e1, const double* e2, int h,
+                      const Matrix& w, bool homologous, double* features,
+                      double* d_logits, double* d1, double* d2) {
+  for (int r = 0; r < h; ++r) {
+    features[r] = 1.0 / (1.0 + std::exp(-std::fabs(e1[r] - e2[r])));
+    features[h + r] = 1.0 / (1.0 + std::exp(-(e1[r] * e2[r])));
+  }
+  double logit[2] = {0.0, 0.0};
+  for (int k = 0; k < 2 * h; ++k) {
+    logit[0] += w(k, 0) * features[k];
+    logit[1] += w(k, 1) * features[k];
+  }
+  const double max_logit = std::max(logit[0], logit[1]);
+  double y[2];
+  double denom = 0.0;
+  for (int i = 0; i < 2; ++i) {
+    y[i] = std::exp(logit[i] - max_logit);
+    denom += y[i];
+  }
+  const double target[2] = {homologous ? 0.0 : 1.0, homologous ? 1.0 : 0.0};
+  double loss = 0.0;
+  double dy[2];
+  for (int i = 0; i < 2; ++i) {
+    y[i] /= denom;
+    const double p = std::clamp(y[i], kBceEps, 1.0 - kBceEps);
+    loss += -(target[i] * std::log(p) + (1.0 - target[i]) * std::log(1.0 - p));
+    dy[i] = 0.5 * (-(target[i] / p) + (1.0 - target[i]) / (1.0 - p));
+  }
+  // Softmax: dx = y . (g - <y, g>).
+  double dot = 0.0;
+  for (int i = 0; i < 2; ++i) dot += y[i] * dy[i];
+  for (int i = 0; i < 2; ++i) d_logits[i] = y[i] * (dy[i] - dot);
+  // W · d_logits, then back through the feature sigmoids.
+  auto d_feature = [&](int k) {
+    const double df = w(k, 0) * d_logits[0] + w(k, 1) * d_logits[1];
+    return (df * features[k]) * (1.0 - features[k]);
+  };
+  for (int r = 0; r < h; ++r) {
+    const double d_abs = d_feature(r);
+    const double d_prod = d_feature(h + r);
+    const double diff = e1[r] - e2[r];
+    const double d_diff = diff > 0.0 ? d_abs : diff < 0.0 ? -d_abs : 0.0;
+    // The Hadamard e1.e2 is newer than the Sub e1-e2, so it comes first.
+    d1[r] = d_prod * e2[r] + d_diff;
+    d2[r] = d_prod * e1[r] - d_diff;
+  }
+  return loss / 2.0;
+}
+
+// The regression head's cos(e1, e2) — the autograd Cosine's Dot, AddConst,
+// Hadamard, Sqrt and DivElem — and squared error against ±1. Fills d loss
+// / d e1, e2.
+double CosineStep(const double* e1, const double* e2, int h, bool homologous,
+                  double* d1, double* d2) {
+  double ab = 0.0, aa = 0.0, bb = 0.0;
+  for (int r = 0; r < h; ++r) ab += e1[r] * e2[r];
+  for (int r = 0; r < h; ++r) aa += e1[r] * e1[r];
+  for (int r = 0; r < h; ++r) bb += e2[r] * e2[r];
+  aa += kCosineEps;
+  bb += kCosineEps;
+  const double norms = std::sqrt(aa * bb);
+  const double diff = ab / norms - (homologous ? 1.0 : -1.0);
+  const double d_cosine = 2.0 * diff;
+  const double d_ab = d_cosine / norms;
+  const double d_norms = -(d_cosine * ab / (norms * norms));
+  const double d_product = d_norms * 0.5 / (norms > 1e-12 ? norms : 1e-12);
+  const double d_aa = d_product * bb;
+  const double d_bb = d_product * aa;
+  for (int r = 0; r < h; ++r) {
+    // Dot(x, x) adds its gradient twice; Dot(e1, e2) is the oldest node.
+    d1[r] = (d_aa * e1[r] + d_aa * e1[r]) + d_ab * e2[r];
+    d2[r] = (d_bb * e2[r] + d_bb * e2[r]) + d_ab * e1[r];
+  }
+  return diff * diff;
+}
+
 }  // namespace
 
 SiameseModel::SiameseModel(const SiameseConfig& config, util::Rng& rng)
     : config_(config),
       encoder_(config.encoder, &store_, rng),
-      optimizer_(config.learning_rate) {
+      optimizer_(config.learning_rate),
+      fast_(config.encoder, store_, encoder_.prefix()) {
   if (config_.head == SiameseHead::kClassification) {
     w_out_ = store_.CreateXavier("siamese.W",
                                  2 * config_.encoder.hidden_dim, 2, rng);
   }
 }
 
-Var SiameseModel::Head(Tape* tape, Var e1, Var e2) const {
-  if (config_.head == SiameseHead::kRegression) {
-    return tape->Cosine(e1, e2);
-  }
-  // eq. (8): softmax(sigmoid(cat(|e1-e2|, e1.e2))^T W)
-  const Var diff = tape->Abs(tape->Sub(e1, e2));
-  const Var prod = tape->Hadamard(e1, e2);
-  const Var features = tape->Sigmoid(tape->ConcatRows(diff, prod));
-  const Var logits = tape->MatMulTransA(tape->Param(w_out_), features);
-  return tape->Softmax(logits);  // [dissimilarity, similarity]
-}
-
 double SiameseModel::Similarity(const ast::BinaryAst& a,
                                 const ast::BinaryAst& b) const {
   if (a.empty() || b.empty()) return 0.0;
-  Tape tape;
-  const Var e1 = encoder_.Encode(&tape, a);
-  const Var e2 = encoder_.Encode(&tape, b);
-  const Var out = Head(&tape, e1, e2);
-  const Matrix& value = tape.value(out);
-  if (config_.head == SiameseHead::kRegression) {
-    return 0.5 * (value(0, 0) + 1.0);  // map cos [-1,1] -> [0,1]
-  }
-  return value(1, 0);
+  return SimilarityFromEncodings(Encode(a), Encode(b));
 }
 
 Matrix SiameseModel::Encode(const ast::BinaryAst& tree) const {
@@ -69,23 +138,13 @@ Matrix SiameseModel::Encode(const ast::BinaryAst& tree) const {
     c_encode_tape.Increment();
     return encoder_.EncodeVector(tree);
   }
-  EnsureFastEncoderFresh();
   c_encode_fast.Increment();
-  return fast_->EncodeVector(tree);
+  return fast_.EncodeVector(tree);
 }
 
-void SiameseModel::EnsureFastEncoderFresh() const {
-  if (!fast_dirty_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(fast_mutex_);
-  if (!fast_dirty_.load(std::memory_order_relaxed)) return;
-  if (fast_ == nullptr) {
-    fast_ = std::make_unique<TreeLstmFastEncoder>(config_.encoder, store_,
-                                                  encoder_.prefix());
-  } else {
-    fast_->RefreshFrom(store_);
-  }
+void SiameseModel::RefreshFused() {
+  fast_.RefreshFrom(store_);
   c_weight_refresh.Increment();
-  fast_dirty_.store(false, std::memory_order_release);
 }
 
 double SiameseModel::SimilarityFromEncodings(const Matrix& a,
@@ -173,37 +232,50 @@ void SiameseModel::SimilarityFromEncodingsBatch(
   }
 }
 
+double SiameseModel::AccumulateGradients(const ast::BinaryAst& a,
+                                         const ast::BinaryAst& b,
+                                         bool homologous) {
+  if (a.empty() || b.empty()) return 0.0;
+  const int h = config_.encoder.hidden_dim;
+  const std::size_t hs = static_cast<std::size_t>(h);
+  if (d_encodings_.size() < 4 * hs) d_encodings_.resize(4 * hs);
+  double* d1 = d_encodings_.data();
+  double* d2 = d1 + hs;
+  double* features = d2 + hs;  // 2h, classification head only
+  double d_logits[2] = {0.0, 0.0};
+  const double* e1 = fast_.TrainForward(a, &train_a_);
+  const double* e2 = fast_.TrainForward(b, &train_b_);
+  double loss = config_.head == SiameseHead::kRegression
+                    ? CosineStep(e1, e2, h, homologous, d1, d2)
+                    : ClassifierStep(e1, e2, h, w_out_->value, homologous,
+                                     features, d_logits, d1, d2);
+  if (fp_train_loss.ShouldFail()) {
+    loss = std::numeric_limits<double>::quiet_NaN();
+  }
+  // Numerics guard: a non-finite loss means the gradients are poisoned too.
+  // Write none of them — the caller counts the sample and moves on —
+  // rather than letting NaN reach every weight.
+  if (!std::isfinite(loss)) return loss;
+  if (w_out_ != nullptr) {
+    for (int k = 0; k < 2 * h; ++k) {
+      for (int i = 0; i < 2; ++i) w_out_->grad(k, i) += features[k] * d_logits[i];
+    }
+  }
+  // The autograd backward's order: the head, then tree b (encoded second),
+  // then tree a.
+  fast_.TrainBackward(b, d2, &train_b_);
+  fast_.TrainBackward(a, d1, &train_a_);
+  return loss;
+}
+
 double SiameseModel::TrainPair(const ast::BinaryAst& a,
                                const ast::BinaryAst& b, bool homologous) {
   if (a.empty() || b.empty()) return 0.0;
-  Tape& tape = train_tape_;
-  tape.Clear();  // keeps capacity from previous examples
-  const Var e1 = encoder_.Encode(&tape, a);
-  const Var e2 = encoder_.Encode(&tape, b);
-  const Var out = Head(&tape, e1, e2);
-  Var loss;
-  if (config_.head == SiameseHead::kRegression) {
-    loss = tape.SquaredErrorToConst(out, homologous ? 1.0 : -1.0);
-  } else {
-    Matrix target(2, 1);
-    target(0, 0) = homologous ? 0.0 : 1.0;
-    target(1, 0) = homologous ? 1.0 : 0.0;
-    loss = tape.BceLoss(out, target);
-  }
-  double loss_value = tape.value(loss)(0, 0);
-  if (fp_train_loss.ShouldFail()) {
-    loss_value = std::numeric_limits<double>::quiet_NaN();
-  }
-  // Numerics guard: a non-finite loss means the gradients are poisoned too.
-  // Skip the update entirely — the caller counts the sample and moves on —
-  // rather than writing NaN into every weight.
-  if (!std::isfinite(loss_value)) return loss_value;
-  tape.Backward(loss);
+  const double loss = AccumulateGradients(a, b, homologous);
+  if (!std::isfinite(loss)) return loss;
   optimizer_.Step(store_.parameters());
-  // The fused inference copies are now stale; rebuild before the next
-  // Encode rather than per step (an epoch of updates costs one refresh).
-  MarkEncoderDirty();
-  return loss_value;
+  RefreshFused();
+  return loss;
 }
 
 bool SiameseModel::Save(const std::string& path) const {
@@ -221,7 +293,7 @@ bool SiameseModel::Load(const std::string& path) {
     ASTERIA_LOG(Error) << "SiameseModel::Load: " << error;
     return false;
   }
-  MarkEncoderDirty();
+  RefreshFused();
   return true;
 }
 

@@ -8,11 +8,13 @@
 //
 // Regression head (Fig. 9 "Regression" ablation): cos(e1, e2) trained with
 // squared error against ±1.
+//
+// Training runs the fused TreeLstmFastEncoder forward and backward plus a
+// hand-written head backward; the weights it produces are bitwise those of
+// the autograd-tape step (tests/train_oracle.h, docs/PERFORMANCE.md "The
+// training path").
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,8 @@ struct SiameseConfig {
   double learning_rate = 0.05;
   // Encode() through the fused tape-free TreeLstmFastEncoder (bitwise
   // identical to the tape path, several times faster). Off = the autograd
-  // reference path, kept for gradient checks and A/B benchmarking.
+  // reference path, kept for gradient checks and A/B benchmarking. Training
+  // always runs the fused kernel.
   bool use_fast_encoder = true;
 };
 
@@ -46,13 +49,14 @@ class SiameseModel {
  public:
   SiameseModel(const SiameseConfig& config, util::Rng& rng);
 
-  // AST similarity in [0, 1] (full forward pass: encode + head).
+  // AST similarity in [0, 1]: SimilarityFromEncodings(Encode(a), Encode(b)),
+  // or 0 when either tree is empty.
   double Similarity(const ast::BinaryAst& a, const ast::BinaryAst& b) const;
 
   // Offline phase: encode once, compare many times (the "A-E" stage).
-  // Runs the fused TreeLstmFastEncoder unless config disables it; the fused
-  // weights are rebuilt lazily after any TrainPair/Load (see
-  // docs/PERFORMANCE.md for the refresh rule). Thread-safe.
+  // Runs the fused TreeLstmFastEncoder unless config disables it. Safe to
+  // call concurrently with itself, but not with TrainPair or Load, which
+  // rewrite the fused weights.
   nn::Matrix Encode(const ast::BinaryAst& tree) const;
 
   // Online phase (Fig. 10(c)): similarity from two precomputed encodings —
@@ -73,7 +77,17 @@ class SiameseModel {
                                     double* out,
                                     EncodingScoreScratch* scratch) const;
 
-  // One training step on a labeled pair (homologous: true). Returns loss.
+  // The gradient half of TrainPair: the fused forward of both trees, the
+  // head's loss, then the backward, which adds the pair's gradient to every
+  // Parameter::grad. Returns the loss. An empty tree returns 0 and a
+  // non-finite loss (or the train.loss failpoint) returns before any
+  // gradient is written.
+  double AccumulateGradients(const ast::BinaryAst& a, const ast::BinaryAst& b,
+                             bool homologous);
+
+  // One training step on a labeled pair (homologous: true): the gradients,
+  // then AdaGrad and a refresh of the fused weights. Returns the loss; a
+  // pair that AccumulateGradients declines leaves the model untouched.
   double TrainPair(const ast::BinaryAst& a, const ast::BinaryAst& b,
                    bool homologous);
 
@@ -87,30 +101,24 @@ class SiameseModel {
   const nn::ParameterStore& parameters() const { return store_; }
 
  private:
-  nn::Var Head(nn::Tape* tape, nn::Var e1, nn::Var e2) const;
-
-  // Rebuilds the fast encoder's fused weights if a weight update happened
-  // since the last Encode. Double-checked under fast_mutex_ so concurrent
-  // encoders (SearchIndex::AddAll workers) refresh exactly once.
-  void EnsureFastEncoderFresh() const;
-  // Called after every weight mutation (optimizer step, checkpoint load).
-  void MarkEncoderDirty() {
-    fast_dirty_.store(true, std::memory_order_release);
-  }
+  // Rebuilds the fused weights after a weight update (optimizer step,
+  // checkpoint load).
+  void RefreshFused();
 
   SiameseConfig config_;
   nn::ParameterStore store_;
   TreeLstmEncoder encoder_;
   nn::Parameter* w_out_ = nullptr;  // (2h x 2), classification head only
   nn::AdaGrad optimizer_;
-  // Reused across TrainPair calls (Tape::Clear keeps capacity, so steady
-  // state training performs no tape-node reallocation).
-  nn::Tape train_tape_;
-  // Lazily built/refreshed fused inference kernel (guarded by fast_mutex_;
-  // fast_dirty_ is the fast-path "is it current" check).
-  mutable std::unique_ptr<TreeLstmFastEncoder> fast_;
-  mutable std::mutex fast_mutex_;
-  mutable std::atomic<bool> fast_dirty_{true};
+  // Fused copies of encoder_'s weights: Encode's kernel and the training
+  // step's forward and backward.
+  TreeLstmFastEncoder fast_;
+  // Grow-only training scratch: one arena per tree of the pair, then
+  // d loss / d encoding for both trees and the classifier's features
+  // (4h).
+  TreeLstmFastEncoder::TrainArena train_a_;
+  TreeLstmFastEncoder::TrainArena train_b_;
+  std::vector<double> d_encodings_;
 };
 
 }  // namespace asteria::core

@@ -12,10 +12,12 @@
 // The root's hidden state is the AST encoding. Missing children use the
 // leaf initialization (zeros by default; ones for the Fig. 9 ablation).
 //
-// This tape-based encoder is the training/gradient-check reference path.
-// Inference-heavy callers go through core::TreeLstmFastEncoder
-// (tree_lstm_fast.h), a fused forward-only kernel whose output is required
-// to stay bitwise identical to EncodeVector (docs/PERFORMANCE.md).
+// This tape-based encoder creates the parameters and is the reference
+// path: gradient checks, SiameseConfig::use_fast_encoder = false, and the
+// test-only training oracle (tests/train_oracle.h). Encoding and training
+// both run core::TreeLstmFastEncoder (tree_lstm_fast.h), a fused kernel
+// whose encodings, gradients and weights are required to stay bitwise
+// identical to this path's (docs/PERFORMANCE.md).
 #pragma once
 
 #include <string>

@@ -3,7 +3,9 @@
 // integration test (loss decreases, homologous > non-homologous).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "compiler/compile.h"
@@ -74,7 +76,8 @@ TEST(Siamese, EncodingPathMatchesFullPath) {
   const double full = model.AstSimilarity(a, b);
   const double split =
       model.SimilarityFromEncodings(model.Encode(a), model.Encode(b));
-  EXPECT_NEAR(full, split, 1e-9);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(full),
+            std::bit_cast<std::uint64_t>(split));
 }
 
 TEST(Siamese, RegressionHeadAlsoWorks) {
@@ -88,7 +91,8 @@ TEST(Siamese, RegressionHeadAlsoWorks) {
   EXPECT_LE(sim, 1.0);
   const double split =
       model.SimilarityFromEncodings(model.Encode(a), model.Encode(b));
-  EXPECT_NEAR(sim, split, 1e-9);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sim),
+            std::bit_cast<std::uint64_t>(split));
 }
 
 TEST(PayloadEmbedding, DistinguishesConstantsWhenEnabled) {
@@ -189,6 +193,64 @@ TEST(TreeLstm, GradientCheckThroughSmallAst) {
       p->value[i] = saved;
       EXPECT_NEAR(p->grad[i], (up - down) / (2 * eps), 1e-5)
           << p->name << "[" << i << "]";
+    }
+  }
+}
+
+// The pair loss SiameseModel trains on, recomputed from Similarity(): the
+// mean BCE of [1 - M, M] against the one-hot target (both elements give
+// -log of the target class's probability), or (cos - (±1))^2.
+double PairLoss(const SiameseModel& model, const ast::BinaryAst& a,
+                const ast::BinaryAst& b, bool homologous) {
+  const double sim = model.Similarity(a, b);
+  if (model.config().head == SiameseHead::kRegression) {
+    const double diff = (2.0 * sim - 1.0) - (homologous ? 1.0 : -1.0);
+    return diff * diff;
+  }
+  const double p = homologous ? sim : 1.0 - sim;
+  return -std::log(p);
+}
+
+// Central differences against the fused training kernel's gradient
+// (SiameseModel::AccumulateGradients, the gradient half of TrainPair):
+// every weight of every parameter, payload_embedding and siamese.W
+// included, for both heads, leaf-0 and leaf-1, at a non-square e = 4,
+// h = 6. The numeric side goes through the tape encoder
+// (use_fast_encoder = false), which reads the perturbed weights directly;
+// the fused copies keep the unperturbed ones the gradient was taken at.
+TEST(TreeLstm, FusedGradientCheckThroughSmallAst) {
+  const auto tree = AsteriaModel::Preprocess(SmallTree(0));
+  const auto tree2 = AsteriaModel::Preprocess(SmallTree(1));
+  for (SiameseHead head : {SiameseHead::kClassification, SiameseHead::kRegression}) {
+    for (bool leaf_ones : {false, true}) {
+      SiameseConfig config;
+      config.head = head;
+      config.encoder.embedding_dim = 4;
+      config.encoder.hidden_dim = 6;
+      config.encoder.embed_payloads = true;
+      config.encoder.leaf_init_ones = leaf_ones;
+      config.use_fast_encoder = false;
+      util::Rng rng(5);
+      SiameseModel model(config, rng);
+      const bool homologous = leaf_ones;
+      const double loss = model.AccumulateGradients(tree, tree2, homologous);
+      ASSERT_NEAR(loss, PairLoss(model, tree, tree2, homologous), 1e-9);
+
+      const double eps = 1e-5;
+      for (nn::Parameter* p : model.parameters().parameters()) {
+        EXPECT_GT(p->grad.MaxAbs(), 0.0) << p->name << " got no gradient";
+        for (std::size_t i = 0; i < p->value.size(); ++i) {
+          const double saved = p->value[i];
+          p->value[i] = saved + eps;
+          const double up = PairLoss(model, tree, tree2, homologous);
+          p->value[i] = saved - eps;
+          const double down = PairLoss(model, tree, tree2, homologous);
+          p->value[i] = saved;
+          EXPECT_NEAR(p->grad[i], (up - down) / (2 * eps), 1e-7)
+              << p->name << "[" << i << "] head=" << static_cast<int>(head)
+              << " leaf_ones=" << leaf_ones;
+        }
+      }
     }
   }
 }

@@ -142,7 +142,7 @@ std::vector<core::FunctionFeature> MakeFeatures(int count, std::uint64_t seed) {
 }
 
 // SiameseModel::Encode with the fast path on must equal the tape path after
-// training (dirty-flag refresh) — two models with identical seeds and
+// training (the per-step refresh) — two models with identical seeds and
 // identical training diverge only in their encode kernel.
 TEST(FastEncoder, ModelEncodeRefreshesAfterTraining) {
   core::AsteriaConfig fast_config;
@@ -170,7 +170,7 @@ TEST(FastEncoder, ModelEncodeRefreshesAfterTraining) {
   }
 }
 
-// Checkpoint loads mark the fused copies stale too.
+// Checkpoint loads refresh the fused copies too.
 TEST(FastEncoder, ModelEncodeRefreshesAfterLoad) {
   const std::string path = testing::TempDir() + "/fast_encoder_ckpt.bin";
   core::AsteriaConfig config;

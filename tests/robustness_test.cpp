@@ -35,6 +35,7 @@
 #include "nn/parameter.h"
 #include "store/checkpoint.h"
 #include "store/container.h"
+#include "train_oracle.h"
 #include "util/failpoint.h"
 #include "util/pipeline_report.h"
 #include "util/rng.h"
@@ -647,29 +648,73 @@ TEST_F(RobustnessTest, FirmwareEncodingFailuresKeepPositionalAlignment) {
 }
 
 TEST_F(RobustnessTest, TrainingSkipsNonFiniteLossAndKeepsGoing) {
-  core::AsteriaModel model(SmallModelConfig());
+  const core::AsteriaConfig config = SmallModelConfig();
+  core::AsteriaModel model(config);
+  // The tape oracle from the same seed, trained only on the pairs the
+  // failpoint lets through: a skipped pair must leave no trace — no weight
+  // change, and no gradient carried into the next pair's step.
+  util::Rng oracle_init(config.seed);
+  core::oracle::TapeTrainer oracle(config.siamese, oracle_init);
   const auto features = SyntheticFeatures(6, 9);
   std::vector<core::LabeledPair> pairs;
   for (int i = 0; i < 6; ++i) {
     pairs.push_back({i, (i + 1) % 6, i % 2 == 0});
   }
-  util::Rng rng(3);
+  auto train_oracle = [&](const core::LabeledPair& pair) {
+    return oracle.TrainPair(features[static_cast<std::size_t>(pair.a)].tree,
+                            features[static_cast<std::size_t>(pair.b)].tree,
+                            pair.homologous);
+  };
 
+  // Pair by pair: every second pair is skipped and leaves the weights
+  // exactly as they were; the others match the oracle's losses.
   Arm("train.loss=every:2");
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const core::LabeledPair& pair = pairs[i];
+    const std::uint32_t before = model.WeightsFingerprint();
+    const double loss =
+        model.TrainPair(features[static_cast<std::size_t>(pair.a)].tree,
+                        features[static_cast<std::size_t>(pair.b)].tree,
+                        pair.homologous);
+    if (i % 2 == 1) {
+      EXPECT_TRUE(std::isnan(loss)) << "pair " << i;
+      EXPECT_EQ(model.WeightsFingerprint(), before) << "skipped pair " << i;
+    } else {
+      EXPECT_EQ(loss, train_oracle(pair)) << "pair " << i;
+    }
+  }
+  EXPECT_EQ(model.WeightsFingerprint(), oracle.WeightsFingerprint());
+
+  // A whole epoch with the same skips: TrainEpoch shuffles a copy of the
+  // pairs with `rng`, so the oracle replays that order and skips the same
+  // (every second) positions.
+  util::ClearFailpoints();
+  Arm("train.loss=every:2");
+  util::Rng rng(3);
+  util::Rng oracle_rng(3);
   util::PipelineReport report;
   const double loss = model.TrainEpoch(features, pairs, rng, &report);
   EXPECT_TRUE(std::isfinite(loss));
   EXPECT_EQ(report.failed, 3);
   EXPECT_EQ(report.ok, 3);
   EXPECT_FALSE(report.reasons.empty());
+  std::vector<core::LabeledPair> order = pairs;
+  oracle_rng.Shuffle(order);
+  for (std::size_t i = 0; i < order.size(); i += 2) train_oracle(order[i]);
+  EXPECT_EQ(model.WeightsFingerprint(), oracle.WeightsFingerprint());
 
-  // The model survived: a clean epoch afterwards trains every pair.
+  // The model survived: a clean epoch afterwards trains every pair, still
+  // in step with the oracle.
   util::ClearFailpoints();
   util::PipelineReport clean;
   const double loss2 = model.TrainEpoch(features, pairs, rng, &clean);
   EXPECT_TRUE(std::isfinite(loss2));
   EXPECT_EQ(clean.ok, 6);
   EXPECT_EQ(clean.failed, 0);
+  order = pairs;
+  oracle_rng.Shuffle(order);
+  for (const core::LabeledPair& pair : order) train_oracle(pair);
+  EXPECT_EQ(model.WeightsFingerprint(), oracle.WeightsFingerprint());
 }
 
 TEST_F(RobustnessTest, PipelineReportMergesInOrder) {
