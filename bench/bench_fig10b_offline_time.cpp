@@ -85,7 +85,7 @@ int Run(int argc, char** argv) {
       auto decompiled =
           decompiler::DecompileFunction(module, static_cast<int>(f));
       const double t_decompile = timer.ElapsedSeconds();
-      if (decompiled.tree.size() < 5) continue;
+      if (decompiled.tree.size() < decompiler::kMinAstSize) continue;
       Bucket& bucket = buckets[bucket_of(decompiled.tree.size())];
       bucket.decompile.Add(t_decompile);
       // A-P: preprocessing (digitalization + LCRS).

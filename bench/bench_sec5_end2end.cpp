@@ -11,10 +11,8 @@
 
 #include "common.h"
 #include "compiler/compile.h"
-#include "decompiler/decompile.h"
 #include "firmware/search.h"
 #include "minic/parser.h"
-#include "minic/sema.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -46,28 +44,15 @@ int Run(int argc, char** argv) {
   fw_config.software_probability = 1.0;
   firmware::FirmwareCorpus corpus = firmware::BuildFirmwareCorpus(fw_config);
 
-  // Pre-extract Gemini ACFGs for every firmware function, walking modules
-  // in the same order the corpus builder decompiled them so indices align.
+  // Gemini's ACFG of every firmware function, from the positions the
+  // extraction recorded.
   std::vector<cfg::Acfg> acfgs;
-  std::vector<int> acfg_index_of_function;
-  {
-    std::size_t fn_cursor = 0;
-    for (std::size_t img = 0; img < corpus.images.size(); ++img) {
-      for (const binary::BinModule& module : corpus.images[img].modules) {
-        auto decompiled = decompiler::DecompileModule(module);
-        for (std::size_t f = 0; f < decompiled.size(); ++f) {
-          if (decompiled[f].tree.size() < 5) continue;
-          acfgs.push_back(cfg::BuildAcfg(module.functions[f]));
-          acfg_index_of_function.push_back(static_cast<int>(acfgs.size()) - 1);
-          ++fn_cursor;
-        }
-      }
-    }
-    if (fn_cursor != corpus.functions.size()) {
-      std::fprintf(stderr, "alignment mismatch: %zu vs %zu\n", fn_cursor,
-                   corpus.functions.size());
-      return 1;
-    }
+  for (const firmware::FirmwareFunction& fn : corpus.functions) {
+    const binary::BinModule& module =
+        corpus.images[static_cast<std::size_t>(fn.image)]
+            .modules[static_cast<std::size_t>(fn.module_index)];
+    acfgs.push_back(cfg::BuildAcfg(
+        module.functions[static_cast<std::size_t>(fn.function_index)]));
   }
 
   util::TextTable table({"method", "top-10 accuracy", "offline s/fn",
@@ -86,10 +71,7 @@ int Run(int argc, char** argv) {
         encodings.push_back(asteria_model.Encode(fn.feature.tree));
       }
     } else {
-      for (std::size_t i = 0; i < corpus.functions.size(); ++i) {
-        encodings.push_back(gemini.Encode(
-            acfgs[static_cast<std::size_t>(acfg_index_of_function[i])]));
-      }
+      for (const cfg::Acfg& acfg : acfgs) encodings.push_back(gemini.Encode(acfg));
     }
     const double offline = offline_timer.ElapsedSeconds() /
                            static_cast<double>(corpus.functions.size());
@@ -105,21 +87,27 @@ int Run(int argc, char** argv) {
       }
       if (!present) continue;
       ++queries;
-      minic::Program program;
-      std::string error;
-      if (!minic::Parse(spec.vulnerable_source, &program, &error)) continue;
-      auto compiled = compiler::CompileProgram(
-          program, static_cast<binary::Isa>(firmware::kQueryIsa),
-          spec.software);
-      const int fn_index = compiled.module.FindFunction(spec.function);
-      auto query = decompiler::DecompileFunction(compiled.module, fn_index);
+      core::FunctionFeature query;
       nn::Matrix query_encoding;
       if (use_asteria) {
-        query_encoding = asteria_model.Encode(
-            ast::ToLeftChildRightSibling(query.tree));
+        std::string why;
+        if (!firmware::BuildCveQuery(
+                spec, static_cast<binary::Isa>(firmware::kQueryIsa),
+                corpus.beta, &query, &why)) {
+          continue;
+        }
+        query_encoding = asteria_model.Encode(query.tree);
       } else {
-        query_encoding = gemini.Encode(
-            cfg::BuildAcfg(compiled.module.functions[static_cast<std::size_t>(fn_index)]));
+        minic::Program program;
+        std::string error;
+        if (!minic::Parse(spec.vulnerable_source, &program, &error)) continue;
+        auto compiled = compiler::CompileProgram(
+            program, static_cast<binary::Isa>(firmware::kQueryIsa),
+            spec.software);
+        const int fn_index = compiled.module.FindFunction(spec.function);
+        if (fn_index < 0) continue;
+        query_encoding = gemini.Encode(cfg::BuildAcfg(
+            compiled.module.functions[static_cast<std::size_t>(fn_index)]));
       }
       std::vector<std::pair<double, std::size_t>> ranked;
       for (std::size_t i = 0; i < corpus.functions.size(); ++i) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common.h"
+#include "decompiler/decompile.h"
 #include "util/table.h"
 
 namespace asteria {
@@ -38,7 +39,7 @@ int Run(int argc, char** argv) {
   table.AddRow({"Total", std::to_string(total)});
   std::fputs(table.ToString().c_str(), stdout);
   std::printf("\n(%d functions dropped by the node-count >= %d filter)\n",
-              corpus.filtered_small, config.min_ast_size);
+              corpus.filtered_small, decompiler::kMinAstSize);
   table.WriteCsv(flags.GetString("out") + "/table3_pairs.csv");
   return 0;
 }

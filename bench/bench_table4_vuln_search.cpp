@@ -8,11 +8,7 @@
 #include <cstdio>
 
 #include "common.h"
-#include "compiler/compile.h"
-#include "decompiler/decompile.h"
 #include "firmware/search.h"
-#include "minic/parser.h"
-#include "minic/sema.h"
 #include "util/log.h"
 #include "util/table.h"
 
@@ -44,15 +40,12 @@ int Run(int argc, char** argv) {
   std::vector<ast::BinaryAst> cve_trees;
   for (const firmware::VulnSpec& spec : firmware::VulnLibrary()) {
     for (int isa = 0; isa < binary::kNumIsas; ++isa) {
-      minic::Program program;
-      std::string error;
-      if (!minic::Parse(spec.vulnerable_source, &program, &error)) continue;
-      auto compiled = compiler::CompileProgram(
-          program, static_cast<binary::Isa>(isa), spec.software);
-      if (!compiled.ok) continue;
-      const int fn = compiled.module.FindFunction(spec.function);
-      auto decompiled = decompiler::DecompileFunction(compiled.module, fn);
-      cve_trees.push_back(ast::ToLeftChildRightSibling(decompiled.tree));
+      core::FunctionFeature query;
+      std::string why;
+      if (firmware::BuildCveQuery(spec, static_cast<binary::Isa>(isa),
+                                  decompiler::kDefaultBeta, &query, &why)) {
+        cve_trees.push_back(std::move(query.tree));
+      }
     }
   }
   for (int round = 0; round < 10; ++round) {
@@ -83,8 +76,8 @@ int Run(int argc, char** argv) {
     ASTERIA_LOG(Warn) << corpus.report.Summary();
   }
 
-  firmware::VulnSearchResult result = firmware::RunVulnSearchCached(
-      model, corpus, threshold, /*beta=*/4, flags.GetString("encodings_cache"));
+  firmware::VulnSearchResult result = firmware::RunVulnSearch(
+      model, corpus, threshold, flags.GetString("encodings_cache"));
 
   std::printf("\n== Table IV: vulnerability search results ==\n");
   std::printf("(threshold %.3f from Youden index; paper found 75 vulnerable "

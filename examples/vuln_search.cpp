@@ -7,11 +7,7 @@
 //   ./build/examples/vuln_search --images=12 --threshold=0.6
 #include <cstdio>
 
-#include "compiler/compile.h"
-#include "decompiler/decompile.h"
 #include "firmware/search.h"
-#include "minic/parser.h"
-#include "minic/sema.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -40,15 +36,12 @@ int main(int argc, char** argv) {
   std::vector<ast::BinaryAst> trees;
   for (const firmware::VulnSpec& spec : firmware::VulnLibrary()) {
     for (int isa = 0; isa < binary::kNumIsas; ++isa) {
-      minic::Program program;
-      std::string error;
-      if (!minic::Parse(spec.vulnerable_source, &program, &error)) continue;
-      auto compiled = compiler::CompileProgram(
-          program, static_cast<binary::Isa>(isa), spec.software);
-      if (!compiled.ok) continue;
-      auto decompiled = decompiler::DecompileFunction(
-          compiled.module, compiled.module.FindFunction(spec.function));
-      trees.push_back(ast::ToLeftChildRightSibling(decompiled.tree));
+      core::FunctionFeature query;
+      std::string why;
+      if (firmware::BuildCveQuery(spec, static_cast<binary::Isa>(isa),
+                                  corpus.beta, &query, &why)) {
+        trees.push_back(std::move(query.tree));
+      }
     }
   }
   std::printf("training on %zu cross-ISA CVE variants...\n", trees.size());
@@ -59,8 +52,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  firmware::VulnSearchResult result = firmware::RunVulnSearchCached(
-      model, corpus, flags.GetDouble("threshold"), /*beta=*/4,
+  firmware::VulnSearchResult result = firmware::RunVulnSearch(
+      model, corpus, flags.GetDouble("threshold"),
       flags.GetString("encodings_cache"));
   std::printf("\nsearch results at threshold %.2f:\n",
               flags.GetDouble("threshold"));

@@ -28,6 +28,10 @@
 # ASan+UBSan check its arena indexing (node id x h, position x width, the
 # 6h x n gradient matrix) on every config, a single-node tree and a
 # 2,000-node LCRS chain (docs/PERFORMANCE.md "The training path").
+# firmware_test runs the extraction recipe (decompiler::ExtractModule), the
+# shared isolated encode loop (core::EncodeIsolated) and the SearchIndex-
+# backed Table IV search against its scalar oracle, so both sanitizers see
+# the §V path end to end.
 # CI-friendly: exits non-zero on build failure, test failure, or any
 # sanitizer report.
 #
@@ -45,7 +49,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 TESTS=(util_test determinism_test core_test dataset_test store_test
        search_index_test robustness_test fast_encoder_test metrics_test
-       serve_test ingest_test train_test)
+       serve_test ingest_test train_test firmware_test)
 # san_build (scripts/lib.sh) also exports the halt_on_error options: any
 # sanitizer report is a non-zero exit even if the race would not otherwise
 # crash the test.

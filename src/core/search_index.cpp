@@ -40,15 +40,6 @@ util::Histogram h_topk_batch_nanos("search.topk_batch_nanos");
 util::Counter c_scored_pairs("search.scored_pairs");
 util::Counter c_pruned_pairs("search.pruned_pairs");
 
-bool AllFinite(const double* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(data[i])) return false;
-  }
-  return true;
-}
-
-bool AllFinite(const nn::Matrix& m) { return AllFinite(m.data(), m.size()); }
-
 // Index-snapshot chunk tags and schema version (see docs/FORMATS.md).
 constexpr std::uint32_t kTagIndexMeta = store::FourCc('I', 'M', 'E', 'T');
 constexpr std::uint32_t kTagIndexEntry = store::FourCc('E', 'N', 'T', 'R');
@@ -190,6 +181,57 @@ constexpr std::size_t kStackTallySlots = 64;
 
 }  // namespace
 
+bool AllFinite(const double* data, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(data[i])) return false;
+  }
+  return true;
+}
+
+IsolatedEncodings EncodeIsolated(
+    const AsteriaModel& model, std::size_t count,
+    const std::function<const FunctionFeature&(std::size_t)>& feature_at,
+    int threads, util::Failpoint& failpoint) {
+  std::vector<std::string> failure(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const FunctionFeature& feature = feature_at(i);
+    if (!feature.tree.empty() && failpoint.ShouldFail()) {
+      failure[i] = feature.name + ": injected failure (failpoint " +
+                   failpoint.name() + ")";
+    }
+  }
+  IsolatedEncodings out;
+  out.encodings.resize(count);
+  // Each worker writes only its own slot.
+  util::ParallelFor(
+      static_cast<std::int64_t>(count), threads, [&](std::int64_t i) {
+        ASTERIA_SPAN("encode");
+        const std::size_t slot = static_cast<std::size_t>(i);
+        const FunctionFeature& feature = feature_at(slot);
+        if (feature.tree.empty() || !failure[slot].empty()) return;
+        try {
+          nn::Matrix encoding = model.Encode(feature.tree);
+          if (AllFinite(encoding.data(), encoding.size())) {
+            out.encodings[slot] = std::move(encoding);
+          } else {
+            failure[slot] = feature.name + ": encoding has non-finite values";
+          }
+        } catch (const std::exception& e) {
+          failure[slot] = feature.name + ": " + e.what();
+        }
+      });
+  for (std::size_t i = 0; i < count; ++i) {
+    if (out.encodings[i].size() != 0) {
+      out.report.AddOk();
+    } else if (feature_at(i).tree.empty()) {
+      out.report.AddSkipped(feature_at(i).name + ": empty AST");
+    } else {
+      out.report.AddFailed(failure[i]);
+    }
+  }
+  return out;
+}
+
 // Strict total order on (score, insertion index) refs: score descending,
 // insertion index ascending. The index tiebreak makes merge results
 // independent of the shard count. Templated so the file-local helpers never
@@ -271,7 +313,7 @@ int SearchIndex::AddEncoded(const std::string& name,
   // Same shape/finiteness gate as Load: a foreign or corrupted encoding
   // must be rejected here, not discovered as garbage scores later.
   if (encoding.rows() != hidden_dim_ || encoding.cols() != 1 ||
-      !AllFinite(encoding)) {
+      !AllFinite(encoding.data(), encoding.size())) {
     return -1;
   }
   std::memcpy(packed_.AppendColumn(), encoding.data(),
@@ -286,66 +328,21 @@ int SearchIndex::AddEncoded(const std::string& name,
 
 util::PipelineReport SearchIndex::AddAll(
     const std::vector<FunctionFeature>& features) {
-  util::PipelineReport report;
-  report.stage = "index-encode";
-  // Encode into staging slots so a failing feature never leaves a hole in
-  // the packed matrix. Each worker writes only its own slot; the sequential
-  // compact pass below makes the surviving order (and the report)
-  // thread-count independent.
-  std::vector<EntryMeta> staged_meta(features.size());
-  std::vector<nn::Matrix> staged_encoding(features.size());
-  enum : char { kFailed = 0, kOk = 1, kSkipped = 2 };
-  std::vector<char> outcome(features.size(), kFailed);
-  std::vector<std::string> failure(features.size());
-  util::ParallelFor(
-      static_cast<std::int64_t>(features.size()), threads_,
-      [&](std::int64_t i) {
-        ASTERIA_SPAN("encode");
-        const std::size_t slot = static_cast<std::size_t>(i);
-        const FunctionFeature& feature = features[slot];
-        if (feature.tree.empty()) {
-          outcome[slot] = kSkipped;
-          failure[slot] = feature.name + ": empty AST";
-          return;
-        }
-        if (fp_search_encode.ShouldFail()) {
-          failure[slot] =
-              feature.name + ": injected failure (failpoint search.encode)";
-          return;
-        }
-        try {
-          staged_meta[slot].name = feature.name;
-          staged_meta[slot].callee_count = feature.callee_count;
-          staged_encoding[slot] = model_.Encode(feature.tree);
-          if (!AllFinite(staged_encoding[slot])) {
-            failure[slot] = feature.name + ": encoding has non-finite values";
-            return;
-          }
-          outcome[slot] = kOk;
-        } catch (const std::exception& e) {
-          failure[slot] = feature.name + ": " + e.what();
-        }
-      });
+  IsolatedEncodings encoded = EncodeIsolated(
+      model_, features.size(),
+      [&](std::size_t i) -> const FunctionFeature& { return features[i]; },
+      threads_, fp_search_encode);
   entries_.reserve(entries_.size() + features.size());
-  for (std::size_t i = 0; i < staged_meta.size(); ++i) {
-    switch (outcome[i]) {
-      case kOk:
-        std::memcpy(packed_.AppendColumn(), staged_encoding[i].data(),
-                    static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-        entries_.push_back(std::move(staged_meta[i]));
-        report.AddOk();
-        break;
-      case kSkipped:
-        report.AddSkipped(failure[i]);
-        break;
-      default:
-        report.AddFailed(failure[i]);
-        break;
-    }
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    if (encoded.encodings[i].size() == 0) continue;
+    std::memcpy(packed_.AppendColumn(), encoded.encodings[i].data(),
+                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
+    entries_.push_back({features[i].name, features[i].callee_count});
   }
   MarkSideIndexDirty();
-  util::PublishPipelineReport(report);
-  return report;
+  encoded.report.stage = "index-encode";
+  util::PublishPipelineReport(encoded.report);
+  return encoded.report;
 }
 
 nn::Matrix SearchIndex::encoding(int index) const {

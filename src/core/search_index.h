@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,9 +49,29 @@
 
 #include "core/asteria.h"
 #include "store/manifest.h"
+#include "util/failpoint.h"
 #include "util/pipeline_report.h"
 
 namespace asteria::core {
+
+// True when none of the `n` values at `data` is NaN or infinite.
+bool AllFinite(const double* data, std::size_t n);
+
+// The isolated encode loop of SearchIndex::AddAll, ingest and the firmware
+// corpus: encodes feature_at(i) for every i < count on up to `threads`
+// workers. An empty AST is skipped; a feature `failpoint` fires on (asked
+// in input order, before any worker starts), or whose Encode throws or
+// returns non-finite values, fails. encodings[i] is a 0x0 placeholder for
+// every feature not encoded, and `report` counts each outcome in input
+// order; both are identical for every thread count.
+struct IsolatedEncodings {
+  std::vector<nn::Matrix> encodings;
+  util::PipelineReport report;
+};
+IsolatedEncodings EncodeIsolated(
+    const AsteriaModel& model, std::size_t count,
+    const std::function<const FunctionFeature&(std::size_t)>& feature_at,
+    int threads, util::Failpoint& failpoint);
 
 struct SearchHit {
   int index = 0;        // position in insertion order
@@ -79,12 +100,9 @@ class SearchIndex {
   int AddEncoded(const std::string& name, const nn::Matrix& encoding,
                  int callee_count);
 
-  // Encodes all features in parallel; entries keep input order. A feature
-  // that fails to encode (throws, yields non-finite values, or hits the
-  // search.encode failpoint) is isolated — counted in the returned report
-  // and dropped from the index — instead of aborting the batch. Empty ASTs
-  // are skipped. The surviving entries and the report are identical for
-  // every thread count.
+  // Encodes all features through EncodeIsolated (failpoint search.encode)
+  // and appends the encoded ones in input order; the rest are counted in
+  // the returned report (stage "index-encode") and left out.
   util::PipelineReport AddAll(const std::vector<FunctionFeature>& features);
 
   // Scores `query` against every stored function and returns the best `k`

@@ -31,7 +31,6 @@ struct PackageResult {
   std::vector<CorpusFunction> functions;
   std::array<int, 4> binaries_per_isa{};
   std::array<int, 4> functions_per_isa{};
-  int filtered_small = 0;
   util::PipelineReport report;
 };
 
@@ -58,39 +57,24 @@ PackageResult BuildPackage(const CorpusConfig& config, int pkg) {
       continue;
     }
     ++result.binaries_per_isa[static_cast<std::size_t>(isa)];
-    auto decompiled =
-        decompiler::DecompileModule(compiled.module, config.beta);
-    for (std::size_t f = 0; f < decompiled.size(); ++f) {
-      decompiler::DecompiledFunction& df = decompiled[f];
-      ++result.functions_per_isa[static_cast<std::size_t>(isa)];
-      if (fp_corpus_function.ShouldFail()) {
-        result.report.AddFailed(package + "/" + df.name +
-                                ": injected failure (failpoint "
-                                "corpus.function)");
-        continue;
-      }
-      if (!df.error.empty()) {
-        result.report.AddFailed(package + "/" + df.name + ": " + df.error);
-        continue;
-      }
-      if (df.tree.size() < config.min_ast_size) {
-        ++result.filtered_small;
-        result.report.AddSkipped();
-        continue;
-      }
-      result.report.AddOk();
+    result.functions_per_isa[static_cast<std::size_t>(isa)] +=
+        static_cast<int>(compiled.module.functions.size());
+    for (decompiler::ExtractedFunction& extracted : decompiler::ExtractModule(
+             compiled.module, config.beta, decompiler::kMinAstSize,
+             &result.report, &fp_corpus_function)) {
+      decompiler::DecompiledFunction& df = extracted.decompiled;
       h_ast_size.Observe(static_cast<std::uint64_t>(df.tree.size()));
       CorpusFunction entry;
       entry.package = package;
       entry.function = df.name;
       entry.isa = isa;
-      entry.preprocessed = ast::ToLeftChildRightSibling(df.tree);
+      entry.preprocessed = std::move(extracted.lcrs);
       entry.ast_size = df.tree.size();
       entry.callee_count = df.callee_count;
       entry.callee_sizes = std::move(df.callee_sizes);
       entry.instruction_count = df.instruction_count;
       entry.acfg = cfg::BuildAcfg(
-          compiled.module.functions[f]);
+          compiled.module.functions[static_cast<std::size_t>(extracted.index)]);
       if (config.keep_source_ast) entry.tree = std::move(df.tree);
       result.functions.push_back(std::move(entry));
     }
@@ -119,13 +103,14 @@ Corpus BuildCorpus(const CorpusConfig& config) {
       corpus.functions_per_isa[static_cast<std::size_t>(isa)] +=
           result.functions_per_isa[static_cast<std::size_t>(isa)];
     }
-    corpus.filtered_small += result.filtered_small;
     for (CorpusFunction& entry : result.functions) {
       corpus.index[{entry.package, entry.function, entry.isa}] =
           static_cast<int>(corpus.functions.size());
       corpus.functions.push_back(std::move(entry));
     }
   }
+  // The size filter is the build's only source of skips.
+  corpus.filtered_small = static_cast<int>(corpus.report.skipped);
   util::PublishPipelineReport(corpus.report);
   return corpus;
 }

@@ -3,8 +3,8 @@
 //
 // Ground truth follows the paper: functions are keyed by (package,
 // function-name); the same key under two ISAs is a homologous pair,
-// different keys are non-homologous. ASTs with fewer than `min_ast_size`
-// nodes are dropped, as in the paper.
+// different keys are non-homologous. ASTs with fewer than
+// decompiler::kMinAstSize nodes are dropped, as in the paper.
 #pragma once
 
 #include <array>
@@ -25,7 +25,6 @@ struct CorpusConfig {
   int packages = 40;
   GeneratorConfig generator;
   std::uint64_t seed = 1234;
-  int min_ast_size = 5;  // paper: "node number less than 5" filter
   int beta = 4;          // callee-filter threshold (§III-C)
   bool keep_source_ast = false;  // retain the n-ary decompiled tree
   // Worker threads for package generation. Each package draws from an

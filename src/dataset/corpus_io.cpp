@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "decompiler/decompile.h"
 #include "store/container.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -33,7 +34,8 @@ constexpr std::uint32_t kCorpusSchemaVersion = 1;
 void PutConfig(const CorpusConfig& config, store::ChunkBuilder* out) {
   out->PutI32(config.packages);
   out->PutU64(config.seed);
-  out->PutI32(config.min_ast_size);
+  // The AST-size floor keeps its slot, so cache fingerprints are unchanged.
+  out->PutI32(decompiler::kMinAstSize);
   out->PutI32(config.beta);
   const GeneratorConfig& g = config.generator;
   out->PutI32(g.min_functions);

@@ -98,4 +98,31 @@ std::vector<DecompiledFunction> DecompileModule(const binary::BinModule& module,
   return out;
 }
 
+std::vector<ExtractedFunction> ExtractModule(const binary::BinModule& module,
+                                             int beta, int min_ast_size,
+                                             util::PipelineReport* report,
+                                             util::Failpoint* failpoint) {
+  util::PipelineReport discard;
+  util::PipelineReport& outcomes = report != nullptr ? *report : discard;
+  std::vector<DecompiledFunction> decompiled = DecompileModule(module, beta);
+  std::vector<ExtractedFunction> kept;
+  for (std::size_t f = 0; f < decompiled.size(); ++f) {
+    DecompiledFunction& df = decompiled[f];
+    if (failpoint != nullptr && failpoint->ShouldFail()) {
+      outcomes.AddFailed(module.name + "/" + df.name +
+                         ": injected failure (failpoint " +
+                         failpoint->name() + ")");
+    } else if (!df.error.empty()) {
+      outcomes.AddFailed(module.name + "/" + df.name + ": " + df.error);
+    } else if (df.tree.size() < min_ast_size) {
+      outcomes.AddSkipped();
+    } else {
+      outcomes.AddOk();
+      ast::BinaryAst lcrs = ast::ToLeftChildRightSibling(df.tree);
+      kept.push_back({static_cast<int>(f), std::move(df), std::move(lcrs)});
+    }
+  }
+  return kept;
+}
+
 }  // namespace asteria::decompiler

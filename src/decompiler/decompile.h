@@ -11,11 +11,17 @@
 #include <vector>
 
 #include "ast/ast.h"
+#include "ast/lcrs.h"
 #include "binary/module.h"
+#include "util/failpoint.h"
+#include "util/pipeline_report.h"
 
 namespace asteria::decompiler {
 
 inline constexpr int kDefaultBeta = 4;
+
+// §IV-B drops functions whose AST has fewer than 5 nodes.
+inline constexpr int kMinAstSize = 5;
 
 struct DecompiledFunction {
   std::string name;
@@ -51,5 +57,21 @@ DecompiledFunction DecompileFunction(const binary::BinModule& module,
 // Decompiles every function of `module`.
 std::vector<DecompiledFunction> DecompileModule(
     const binary::BinModule& module, int beta = kDefaultBeta);
+
+// One function kept by ExtractModule.
+struct ExtractedFunction {
+  int index = 0;  // position in module.functions
+  DecompiledFunction decompiled;
+  ast::BinaryAst lcrs;
+};
+
+// The offline extraction recipe: decompiles every function of `module` and
+// returns, in order, the ones neither failed — `failpoint` (nullable) fired
+// or the decompile reported an error, as "<module>/<fn>: <why>" — nor
+// skipped for an AST under `min_ast_size` nodes. Outcomes go to `report`
+// when non-null.
+std::vector<ExtractedFunction> ExtractModule(
+    const binary::BinModule& module, int beta, int min_ast_size,
+    util::PipelineReport* report, util::Failpoint* failpoint = nullptr);
 
 }  // namespace asteria::decompiler

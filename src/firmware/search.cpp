@@ -1,9 +1,7 @@
 #include "firmware/search.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <exception>
 #include <set>
 
 #include "compiler/compile.h"
@@ -30,13 +28,6 @@ util::Counter c_fw_quarantined("firmware.cache_quarantined");
 util::Counter c_fw_confirmed("firmware.confirmed");
 // Candidates above threshold per CVE query — deterministic per seed/model.
 util::Histogram h_fw_candidates("firmware.candidates");
-
-bool AllFinite(const nn::Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(m.data()[i])) return false;
-  }
-  return true;
-}
 
 struct VendorSpec {
   const char* vendor;
@@ -74,7 +65,7 @@ binary::BinModule CompileSource(const std::string& source,
 
 }  // namespace
 
-FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
+FirmwareCorpus GenerateFirmware(const FirmwareCorpusConfig& config) {
   FirmwareCorpus corpus;
   corpus.report.stage = "firmware-corpus";
   util::Rng rng(config.seed);
@@ -92,23 +83,22 @@ FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
     const binary::Isa isa =
         static_cast<binary::Isa>(rng.NextWeighted({1.0, 0.2, 5.0, 1.2}));
 
-    // Filler packages (vendor-specific code).
+    // Filler packages (vendor-specific code). Vendors ship stripped
+    // binaries.
     for (int p = 0; p < config.filler_packages_per_image; ++p) {
       minic::Program program = dataset::GenerateProgram(generator_config, rng);
       std::string error;
       if (!minic::Check(program, &error)) continue;
       auto compiled = compiler::CompileProgram(
           program, isa, "vendor_" + std::to_string(img) + "_" + std::to_string(p));
-      if (compiled.ok) image.modules.push_back(std::move(compiled.module));
+      if (!compiled.ok) continue;
+      compiled.module.StripSymbols();
+      image.modules.push_back(std::move(compiled.module));
     }
 
-    // Possibly ship CVE-library software.
-    struct Plant {
-      std::string cve;
-      std::string function;
-      bool patched;
-    };
-    std::vector<Plant> plants;
+    // Possibly ship CVE-library software, remembering which stripped name
+    // holds each CVE function.
+    std::vector<PlantedFunction> truths;
     if (rng.NextBool(config.software_probability)) {
       // Ship 1-3 distinct softwares.
       const int count = static_cast<int>(rng.NextInt(1, 3));
@@ -125,41 +115,14 @@ FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
                 (vulnerable ? spec.vulnerable_version : spec.patched_version),
             isa);
         if (module.functions.empty()) continue;
-        plants.push_back({spec.cve, spec.function, !vulnerable});
-        image.modules.push_back(std::move(module));
-      }
-    }
-
-    // Strip symbols but remember which stripped name held the CVE function.
-    struct TruthEntry {
-      std::size_t module;
-      std::string stripped;
-      std::string cve;
-      bool patched;
-    };
-    std::vector<TruthEntry> truths;
-    {
-      std::size_t plant_index = 0;
-      for (std::size_t m = 0; m < image.modules.size(); ++m) {
-        binary::BinModule& module = image.modules[m];
-        const bool is_software = module.name.find("vendor_") != 0;
-        std::string target_fn;
-        std::string cve;
-        bool patched = false;
-        if (is_software && plant_index < plants.size()) {
-          target_fn = plants[plant_index].function;
-          cve = plants[plant_index].cve;
-          patched = plants[plant_index].patched;
-          ++plant_index;
-        }
-        std::vector<std::string> old_names;
-        for (const auto& fn : module.functions) old_names.push_back(fn.name);
+        const int fn = module.FindFunction(spec.function);
         module.StripSymbols();
-        for (std::size_t f = 0; f < module.functions.size(); ++f) {
-          if (!target_fn.empty() && old_names[f] == target_fn) {
-            truths.push_back({m, module.functions[f].name, cve, patched});
-          }
+        if (fn >= 0) {
+          truths.push_back({image.modules.size(),
+                            module.functions[static_cast<std::size_t>(fn)].name,
+                            spec.cve, !vulnerable});
         }
+        image.modules.push_back(std::move(module));
       }
     }
 
@@ -172,34 +135,33 @@ FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
                               ": unpack failed");
       continue;
     }
-    const int image_index = static_cast<int>(corpus.images.size());
     corpus.images.push_back(std::move(*unpacked));
-    const FirmwareImage& stored = corpus.images.back();
+    corpus.planted.push_back(std::move(truths));
+  }
+  return corpus;
+}
 
-    for (std::size_t m = 0; m < stored.modules.size(); ++m) {
-      const binary::BinModule& module = stored.modules[m];
-      auto decompiled = decompiler::DecompileModule(module, config.beta);
-      for (auto& df : decompiled) {
-        if (!df.error.empty()) {
-          corpus.report.AddFailed(module.name + "/" + df.name + ": " +
-                                  df.error);
-          continue;
-        }
-        if (df.tree.size() < 5) {
-          corpus.report.AddSkipped();
-          continue;
-        }
-        corpus.report.AddOk();
+FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config) {
+  FirmwareCorpus corpus = GenerateFirmware(config);
+  corpus.beta = config.beta;
+  for (std::size_t img = 0; img < corpus.images.size(); ++img) {
+    const FirmwareImage& image = corpus.images[img];
+    for (std::size_t m = 0; m < image.modules.size(); ++m) {
+      const binary::BinModule& module = image.modules[m];
+      for (decompiler::ExtractedFunction& extracted : decompiler::ExtractModule(
+               module, config.beta, decompiler::kMinAstSize, &corpus.report)) {
+        const decompiler::DecompiledFunction& df = extracted.decompiled;
         FirmwareFunction entry;
-        entry.image = image_index;
+        entry.image = static_cast<int>(img);
+        entry.module_index = static_cast<int>(m);
+        entry.function_index = extracted.index;
         entry.module = module.name;
-        entry.version = stored.version;
+        entry.version = image.version;
         entry.symbol = df.name;
-        entry.feature.name = module.name + "::" + df.name;
-        entry.feature.tree = ast::ToLeftChildRightSibling(df.tree);
-        entry.feature.callee_count = df.callee_count;
-        for (const TruthEntry& truth : truths) {
-          if (truth.module == m && truth.stripped == df.name) {
+        entry.feature = {module.name + "::" + df.name,
+                         std::move(extracted.lcrs), df.callee_count};
+        for (const PlantedFunction& truth : corpus.planted[img]) {
+          if (truth.module == m && truth.symbol == df.name) {
             entry.truth_cve = truth.cve;
             entry.patched = truth.patched;
           }
@@ -215,36 +177,16 @@ std::vector<nn::Matrix> EncodeFirmwareCorpus(const core::AsteriaModel& model,
                                              const FirmwareCorpus& corpus,
                                              util::PipelineReport* report) {
   ASTERIA_SPAN("firmware-encode");
-  util::PipelineReport local;
-  local.stage = "firmware-encode";
-  std::vector<nn::Matrix> encodings;
-  encodings.reserve(corpus.functions.size());
-  for (const FirmwareFunction& fn : corpus.functions) {
-    // A failed function keeps its slot as an empty 0x0 placeholder so the
-    // positional alignment with corpus.functions survives.
-    if (fp_firmware_encode.ShouldFail()) {
-      local.AddFailed(fn.feature.name +
-                      ": injected failure (failpoint firmware.encode)");
-      encodings.emplace_back();
-      continue;
-    }
-    try {
-      nn::Matrix encoding = model.Encode(fn.feature.tree);
-      if (!AllFinite(encoding)) {
-        local.AddFailed(fn.feature.name + ": encoding has non-finite values");
-        encodings.emplace_back();
-        continue;
-      }
-      encodings.push_back(std::move(encoding));
-      local.AddOk();
-    } catch (const std::exception& e) {
-      local.AddFailed(fn.feature.name + ": " + e.what());
-      encodings.emplace_back();
-    }
-  }
-  util::PublishPipelineReport(local);
-  if (report != nullptr) report->Merge(local);
-  return encodings;
+  core::IsolatedEncodings encoded = core::EncodeIsolated(
+      model, corpus.functions.size(),
+      [&](std::size_t i) -> const core::FunctionFeature& {
+        return corpus.functions[i].feature;
+      },
+      /*threads=*/1, fp_firmware_encode);
+  encoded.report.stage = "firmware-encode";
+  util::PublishPipelineReport(encoded.report);
+  if (report != nullptr) report->Merge(encoded.report);
+  return std::move(encoded.encodings);
 }
 
 namespace {
@@ -349,7 +291,7 @@ bool LoadFirmwareEncodings(std::vector<nn::Matrix>* encodings,
       }
       nn::Matrix m(static_cast<int>(rows), static_cast<int>(cols));
       if (!parser.GetF64Array(m.data(), m.size(), error)) return false;
-      if (!AllFinite(m)) {
+      if (!core::AllFinite(m.data(), m.size())) {
         *error = path + ": encoding " + std::to_string(loaded.size()) +
                  " contains non-finite values (NaN/Inf) — corrupted cache";
         return false;
@@ -371,52 +313,88 @@ bool LoadFirmwareEncodings(std::vector<nn::Matrix>* encodings,
   return true;
 }
 
-VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
-                               const FirmwareCorpus& corpus, double threshold,
-                               int beta) {
-  // Encode the whole firmware corpus once (offline phase).
-  util::PipelineReport encode_report;
-  const std::vector<nn::Matrix> encodings =
-      EncodeFirmwareCorpus(model, corpus, &encode_report);
-  VulnSearchResult result =
-      RunVulnSearch(model, corpus, encodings, threshold, beta);
-  result.report.Merge(encode_report);
-  return result;
+bool BuildQueryFeature(const binary::BinModule& module,
+                       const std::string& function, int beta,
+                       core::FunctionFeature* feature, std::string* why) {
+  const int fn = module.FindFunction(function);
+  if (fn < 0) {
+    *why = "no function '" + function + "'";
+    return false;
+  }
+  const decompiler::DecompiledFunction query =
+      decompiler::DecompileFunction(module, fn, beta);
+  *feature = {function, ast::ToLeftChildRightSibling(query.tree),
+              query.callee_count};
+  return true;
 }
 
-VulnSearchResult RunVulnSearchCached(const core::AsteriaModel& model,
-                                     const FirmwareCorpus& corpus,
-                                     double threshold, int beta,
-                                     const std::string& cache_path) {
-  if (cache_path.empty()) return RunVulnSearch(model, corpus, threshold, beta);
-  std::string error;
-  std::vector<nn::Matrix> encodings;
-  if (LoadFirmwareEncodings(&encodings, model, corpus.functions.size(),
-                            cache_path, &error)) {
-    c_fw_cache_hit.Increment();
-    ASTERIA_LOG(Info) << "firmware encodings cache hit: " << cache_path;
-    return RunVulnSearch(model, corpus, encodings, threshold, beta);
+bool BuildCveQuery(const VulnSpec& spec, binary::Isa isa, int beta,
+                   core::FunctionFeature* feature, std::string* why) {
+  const binary::BinModule module =
+      CompileSource(spec.vulnerable_source, spec.software, isa);
+  if (BuildQueryFeature(module, spec.function, beta, feature, why)) {
+    return true;
   }
-  c_fw_cache_miss.Increment();
-  ASTERIA_LOG(Info) << "firmware encodings cache miss (" << error
-                    << "); re-encoding";
-  // Move a present-but-unloadable cache aside before writing a fresh one.
-  if (std::FILE* f = std::fopen(cache_path.c_str(), "rb")) {
-    std::fclose(f);
-    std::string quarantined;
-    if (store::QuarantineFile(cache_path, &quarantined)) {
-      c_fw_quarantined.Increment();
-      ASTERIA_LOG(Warn) << "quarantined corrupt encodings cache to "
-                        << quarantined;
+  *why = spec.cve + ": " + *why + " in the compiled query source";
+  return false;
+}
+
+std::vector<CveHits> SearchVulnLibrary(const core::SearchIndex& index,
+                                       double threshold, int beta) {
+  const std::vector<VulnSpec>& library = VulnLibrary();
+  std::vector<CveHits> found(library.size());
+  std::vector<core::FunctionFeature> queries(library.size());
+  std::vector<const core::FunctionFeature*> built;
+  for (std::size_t q = 0; q < library.size(); ++q) {
+    if (BuildCveQuery(library[q], static_cast<binary::Isa>(kQueryIsa), beta,
+                      &queries[q], &found[q].failure)) {
+      built.push_back(&queries[q]);
     }
   }
+  if (index.size() == 0 || built.empty()) return found;
+  std::vector<std::vector<core::SearchHit>> hits = index.AboveThresholdBatch(
+      built, std::vector<double>(built.size(), threshold));
+  for (std::size_t q = 0, b = 0; q < library.size(); ++q) {
+    if (found[q].failure.empty()) found[q].hits = std::move(hits[b++]);
+  }
+  return found;
+}
+
+VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
+                               const FirmwareCorpus& corpus, double threshold,
+                               const std::string& cache_path) {
+  std::vector<nn::Matrix> encodings;
+  if (!cache_path.empty()) {
+    std::string error;
+    if (LoadFirmwareEncodings(&encodings, model, corpus.functions.size(),
+                              cache_path, &error)) {
+      c_fw_cache_hit.Increment();
+      ASTERIA_LOG(Info) << "firmware encodings cache hit: " << cache_path;
+      return RunVulnSearch(model, corpus, encodings, threshold);
+    }
+    c_fw_cache_miss.Increment();
+    ASTERIA_LOG(Info) << "firmware encodings cache miss (" << error
+                      << "); re-encoding";
+    // Move a present-but-unloadable cache aside before writing a fresh one.
+    if (std::FILE* f = std::fopen(cache_path.c_str(), "rb")) {
+      std::fclose(f);
+      std::string quarantined;
+      if (store::QuarantineFile(cache_path, &quarantined)) {
+        c_fw_quarantined.Increment();
+        ASTERIA_LOG(Warn) << "quarantined corrupt encodings cache to "
+                          << quarantined;
+      }
+    }
+  }
+  // Offline phase: encode the whole firmware corpus once.
   util::PipelineReport encode_report;
   encodings = EncodeFirmwareCorpus(model, corpus, &encode_report);
-  if (!SaveFirmwareEncodings(encodings, model, cache_path, &error)) {
+  std::string error;
+  if (!cache_path.empty() &&
+      !SaveFirmwareEncodings(encodings, model, cache_path, &error)) {
     ASTERIA_LOG(Warn) << "firmware encodings cache write failed: " << error;
   }
-  VulnSearchResult result =
-      RunVulnSearch(model, corpus, encodings, threshold, beta);
+  VulnSearchResult result = RunVulnSearch(model, corpus, encodings, threshold);
   result.report.Merge(encode_report);
   return result;
 }
@@ -424,58 +402,52 @@ VulnSearchResult RunVulnSearchCached(const core::AsteriaModel& model,
 VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
                                const FirmwareCorpus& corpus,
                                const std::vector<nn::Matrix>& encodings,
-                               double threshold, int beta) {
+                               double threshold) {
   if (encodings.size() != corpus.functions.size()) {
     ASTERIA_LOG(Error) << "RunVulnSearch: " << encodings.size()
                        << " encodings for " << corpus.functions.size()
                        << " corpus functions; re-encoding";
-    return RunVulnSearch(model, corpus, threshold, beta);
+    return RunVulnSearch(model, corpus, threshold);
   }
   VulnSearchResult result;
   result.threshold = threshold;
   result.report.stage = "vuln-search";
   // Functions whose offline encoding failed sit in their slot as empty 0x0
-  // placeholders; exclude them from scoring once (not once per CVE).
+  // placeholders; they stay out of the index and are counted once.
+  core::SearchIndex index(model);
+  std::vector<std::size_t> slot_of_entry;
   bool first_missing = true;
-  for (const nn::Matrix& encoding : encodings) {
-    if (encoding.size() == 0) {
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    const core::FunctionFeature& feature = corpus.functions[i].feature;
+    if (encodings[i].size() == 0 ||
+        index.AddEncoded(feature.name, encodings[i], feature.callee_count) < 0) {
       result.report.AddSkipped(
           first_missing ? "function without encoding excluded from scoring"
                         : "");
       first_missing = false;
+      continue;
     }
+    slot_of_entry.push_back(i);
   }
 
-  for (const VulnSpec& spec : VulnLibrary()) {
+  const std::vector<CveHits> found =
+      SearchVulnLibrary(index, threshold, corpus.beta);
+  for (std::size_t q = 0; q < found.size(); ++q) {
+    const VulnSpec& spec = VulnLibrary()[q];
     CveSearchResult row;
     row.cve = spec.cve;
     row.software = spec.software;
     row.function = spec.function;
-
-    // Compile + decompile the query function on the reference ISA.
-    binary::BinModule module = CompileSource(
-        spec.vulnerable_source, spec.software, static_cast<binary::Isa>(kQueryIsa));
-    const int fn_index = module.FindFunction(spec.function);
-    if (fn_index < 0) {
-      result.report.AddFailed(spec.cve + ": query function '" + spec.function +
-                              "' failed to compile — CVE row is empty");
+    if (!found[q].failure.empty()) {
+      result.report.AddFailed(found[q].failure + " — CVE row is empty");
       result.per_cve.push_back(std::move(row));
       continue;
     }
     result.report.AddOk();
-    auto query = decompiler::DecompileFunction(module, fn_index, beta);
-    const ast::BinaryAst query_tree = ast::ToLeftChildRightSibling(query.tree);
-    const nn::Matrix query_encoding = model.Encode(query_tree);
-
     std::set<std::string> models_hit;
-    for (std::size_t i = 0; i < corpus.functions.size(); ++i) {
-      if (encodings[i].size() == 0) continue;  // placeholder (already counted)
-      const FirmwareFunction& fn = corpus.functions[i];
-      const double ast_similarity =
-          model.SimilarityFromEncodings(query_encoding, encodings[i]);
-      const double score = core::CalibratedSimilarity(
-          ast_similarity, query.callee_count, fn.feature.callee_count);
-      if (score < threshold) continue;
+    for (const core::SearchHit& hit : found[q].hits) {
+      const FirmwareFunction& fn =
+          corpus.functions[slot_of_entry[static_cast<std::size_t>(hit.index)]];
       ++row.candidates;
       const bool is_vulnerable = fn.truth_cve == spec.cve && !fn.patched;
       // Criterion A: same software, vulnerable version. Module names encode
@@ -486,7 +458,7 @@ VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
       const bool version_vulnerable =
           fn.module == prefix + spec.vulnerable_version;
       if (same_software && version_vulnerable) ++row.criteria_a;
-      if (score > 1.0 - 1e-9) ++row.criteria_b;
+      if (hit.score > 1.0 - 1e-9) ++row.criteria_b;
       if (is_vulnerable) {
         ++row.confirmed;
         models_hit.insert(corpus.images[static_cast<std::size_t>(fn.image)].model);

@@ -1,12 +1,12 @@
 // End-to-end vulnerability search pipeline (§V).
 //
-// BuildFirmwareCorpus generates vendor firmware images (NetGear / Schneider /
-// Dlink), plants vulnerable or patched CVE functions into a subset, packs
-// and re-unpacks every image (exercising the binwalk-analog path), strips
-// symbols, and decompiles everything. RunVulnSearch encodes all firmware
-// functions and the CVE library with a trained Asteria model, scores every
-// (function, CVE) pair with the fast online path, filters by threshold, and
-// applies the paper's confirmation criteria:
+// GenerateFirmware builds vendor firmware images (NetGear / Schneider /
+// Dlink), plants vulnerable or patched CVE functions into a subset, strips
+// symbols, and packs and re-unpacks every image (the binwalk-analog path);
+// BuildFirmwareCorpus also extracts every function. RunVulnSearch encodes
+// the corpus with a trained Asteria model into a core::SearchIndex, answers
+// the CVE library with one threshold sweep, and applies the paper's
+// confirmation criteria:
 //   A: the candidate comes from the same software and a vulnerable version
 //   B: the similarity score is (numerically) 1
 // Ground truth (which planted function is really the vulnerable one) is
@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "core/asteria.h"
+#include "core/search_index.h"
+#include "decompiler/decompile.h"
 #include "firmware/image.h"
 #include "firmware/vulnlib.h"
 #include "util/pipeline_report.h"
@@ -34,9 +36,19 @@ struct FirmwareCorpusConfig {
   int beta = 4;
 };
 
+// Where one planted CVE function ended up in its stripped image.
+struct PlantedFunction {
+  std::size_t module = 0;  // index into the image's modules
+  std::string symbol;      // stripped name: sub_xxx
+  std::string cve;
+  bool patched = false;
+};
+
 // One decompiled firmware function with build-time ground truth.
 struct FirmwareFunction {
   int image = 0;                 // index into FirmwareCorpus::images
+  int module_index = 0;          // index into that image's modules
+  int function_index = 0;        // index into that module's functions
   std::string module;            // module (software) name
   std::string version;           // software version string
   std::string symbol;            // stripped name: sub_xxx
@@ -49,12 +61,19 @@ struct FirmwareFunction {
 
 struct FirmwareCorpus {
   std::vector<FirmwareImage> images;
+  std::vector<std::vector<PlantedFunction>> planted;  // per image
   std::vector<FirmwareFunction> functions;
   int unpack_failures = 0;
+  // The callee filter of the features; queries use it too (eq. (9)).
+  int beta = decompiler::kDefaultBeta;
   // Per-function/image outcome accounting (stage "firmware-corpus").
   util::PipelineReport report;
 };
 
+// The generation step alone: images and their plants; `functions` is empty.
+FirmwareCorpus GenerateFirmware(const FirmwareCorpusConfig& config);
+
+// GenerateFirmware, then decompiler::ExtractModule over every module.
 FirmwareCorpus BuildFirmwareCorpus(const FirmwareCorpusConfig& config);
 
 // Per-CVE search outcome (one Table IV row).
@@ -84,6 +103,29 @@ struct VulnSearchResult {
 // Reference ISA used to compile the CVE library for querying.
 inline constexpr int kQueryIsa = 0;  // x86
 
+// The query recipe: decompiles `module`'s function `function` into an LCRS
+// feature named `function`, or returns false with `why` = "no function
+// '<function>'".
+bool BuildQueryFeature(const binary::BinModule& module,
+                       const std::string& function, int beta,
+                       core::FunctionFeature* feature, std::string* why);
+
+// Compiles `spec`'s vulnerable source for `isa`, then BuildQueryFeature on
+// spec.function. A failure reason starts with the CVE id.
+bool BuildCveQuery(const VulnSpec& spec, binary::Isa isa, int beta,
+                   core::FunctionFeature* feature, std::string* why);
+
+// One VulnLibrary() query answered by SearchVulnLibrary.
+struct CveHits {
+  std::string failure;                // why the query was not built
+  std::vector<core::SearchHit> hits;  // scores >= threshold, descending
+};
+
+// The vuln scorer: every VulnLibrary() query, built on kQueryIsa, answered
+// by one AboveThresholdBatch sweep of `index`, in VulnLibrary() order.
+std::vector<CveHits> SearchVulnLibrary(const core::SearchIndex& index,
+                                       double threshold, int beta);
+
 // Offline phase: one encoding per corpus function, in corpus order. A
 // function whose encoding fails (throws, non-finite values, or the
 // firmware.encode failpoint) keeps its slot as an empty 0x0 placeholder so
@@ -105,22 +147,18 @@ bool LoadFirmwareEncodings(std::vector<nn::Matrix>* encodings,
                            std::size_t expected_count, const std::string& path,
                            std::string* error);
 
-// Runs the search with a trained model at the given score threshold.
+// Runs the search with a trained model at the given score threshold,
+// reusing the encodings at `cache_path` when they are valid for this
+// (model, corpus) and otherwise encoding the corpus and refreshing the
+// cache (when a path is set).
 VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
-                               const FirmwareCorpus& corpus,
-                               double threshold, int beta = 4);
+                               const FirmwareCorpus& corpus, double threshold,
+                               const std::string& cache_path = "");
 
-// Same, but with precomputed offline encodings (corpus order).
+// Same, with precomputed offline encodings (corpus order).
 VulnSearchResult RunVulnSearch(const core::AsteriaModel& model,
                                const FirmwareCorpus& corpus,
                                const std::vector<nn::Matrix>& encodings,
-                               double threshold, int beta = 4);
-
-// Warm-start variant: reuses `cache_path` when it holds valid encodings
-// for this (model, corpus), otherwise encodes and refreshes the cache.
-VulnSearchResult RunVulnSearchCached(const core::AsteriaModel& model,
-                                     const FirmwareCorpus& corpus,
-                                     double threshold, int beta,
-                                     const std::string& cache_path);
+                               double threshold);
 
 }  // namespace asteria::firmware

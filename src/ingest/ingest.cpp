@@ -7,27 +7,20 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <utility>
 
-#include "ast/lcrs.h"
-#include "compiler/compile.h"
 #include "decompiler/decompile.h"
 #include "firmware/search.h"
 #include "firmware/vulnlib.h"
-#include "minic/parser.h"
-#include "minic/sema.h"
 #include "serve/client.h"
 #include "store/container.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/request_log.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -61,13 +54,6 @@ util::Counter c_serve_pokes("ingest.reload_pokes");
 util::Histogram h_publish_nanos("ingest.publish_nanos");
 util::Gauge g_shards("ingest.shards");
 util::Gauge g_entries("ingest.entries");
-
-bool AllFinite(const nn::Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(m.data()[i])) return false;
-  }
-  return true;
-}
 
 bool ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -134,35 +120,6 @@ std::string ShardFileName(std::uint64_t seq) {
   return "shard-" + SeqString(seq) + ".idx";
 }
 
-// Compiles one CVE-library query on the reference ISA and decompiles it
-// into a query feature (the same recipe as RunVulnSearch's query path).
-bool BuildVulnQuery(const firmware::VulnSpec& spec, int beta,
-                    core::FunctionFeature* feature, std::string* why) {
-  minic::Program program;
-  std::string error;
-  if (!minic::Parse(spec.vulnerable_source, &program, &error) ||
-      !minic::Check(program, &error)) {
-    *why = spec.cve + ": query source broken: " + error;
-    return false;
-  }
-  auto compiled = compiler::CompileProgram(
-      program, static_cast<binary::Isa>(firmware::kQueryIsa), spec.software);
-  if (!compiled.ok) {
-    *why = spec.cve + ": query compile failed: " + compiled.error;
-    return false;
-  }
-  const int fn = compiled.module.FindFunction(spec.function);
-  if (fn < 0) {
-    *why = spec.cve + ": query function '" + spec.function + "' not found";
-    return false;
-  }
-  auto query = decompiler::DecompileFunction(compiled.module, fn, beta);
-  feature->name = spec.function;
-  feature->tree = ast::ToLeftChildRightSibling(query.tree);
-  feature->callee_count = query.callee_count;
-  return true;
-}
-
 }  // namespace
 
 IngestService::IngestService(const core::AsteriaModel& model,
@@ -217,24 +174,11 @@ std::vector<core::FunctionFeature> IngestService::DecompileImage(
     util::PipelineReport* report) {
   std::vector<core::FunctionFeature> features;
   for (const binary::BinModule& module : image.modules) {
-    auto decompiled = decompiler::DecompileModule(module, beta);
-    for (auto& df : decompiled) {
-      if (!df.error.empty()) {
-        if (report != nullptr) {
-          report->AddFailed(module.name + "/" + df.name + ": " + df.error);
-        }
-        continue;
-      }
-      if (df.tree.size() < min_ast_size) {
-        if (report != nullptr) report->AddSkipped();
-        continue;
-      }
-      if (report != nullptr) report->AddOk();
-      core::FunctionFeature feature;
-      feature.name = module.name + "::" + df.name;
-      feature.tree = ast::ToLeftChildRightSibling(df.tree);
-      feature.callee_count = df.callee_count;
-      features.push_back(std::move(feature));
+    for (decompiler::ExtractedFunction& extracted :
+         decompiler::ExtractModule(module, beta, min_ast_size, report)) {
+      features.push_back({module.name + "::" + extracted.decompiled.name,
+                          std::move(extracted.lcrs),
+                          extracted.decompiled.callee_count});
     }
   }
   return features;
@@ -334,7 +278,7 @@ bool IngestService::IngestFile(const std::string& path, IngestStats* stats,
                 ": injected decompile failure (failpoint ingest.decompile)");
   }
   const std::vector<core::FunctionFeature> features =
-      DecompileImage(*image, config_.beta, config_.min_ast_size, &local);
+      DecompileImage(*image, config_.beta, decompiler::kMinAstSize, &local);
 
   // 3. Encode — through the per-image FENC cache when possible, so a
   // retried or re-dropped image never re-encodes functions it already paid
@@ -360,38 +304,17 @@ bool IngestService::IngestFile(const std::string& path, IngestStats* stats,
     // Failed functions keep an empty 0x0 placeholder slot (the FENC
     // convention), so cache layout stays positionally aligned to the
     // decompiled features.
-    encodings.assign(features.size(), nn::Matrix());
-    std::vector<std::string> failure(features.size());
-    util::ParallelFor(
-        static_cast<std::int64_t>(features.size()), config_.threads,
-        [&](std::int64_t i) {
-          ASTERIA_SPAN("encode");
-          const std::size_t slot = static_cast<std::size_t>(i);
-          if (fp_encode.ShouldFail()) {
-            failure[slot] = features[slot].name +
-                            ": injected failure (failpoint ingest.encode)";
-            return;
-          }
-          try {
-            nn::Matrix encoding = model_.Encode(features[slot].tree);
-            if (!AllFinite(encoding)) {
-              failure[slot] =
-                  features[slot].name + ": encoding has non-finite values";
-              return;
-            }
-            encodings[slot] = std::move(encoding);
-          } catch (const std::exception& e) {
-            failure[slot] = features[slot].name + ": " + e.what();
-          }
-        });
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (!failure[i].empty()) {
-        local.AddFailed(failure[i]);
-        continue;
-      }
-      ++stats->functions_encoded;
-      c_fn_encoded.Increment();
-    }
+    core::IsolatedEncodings encoded = core::EncodeIsolated(
+        model_, features.size(),
+        [&](std::size_t i) -> const core::FunctionFeature& {
+          return features[i];
+        },
+        config_.threads, fp_encode);
+    encodings = std::move(encoded.encodings);
+    stats->functions_encoded += static_cast<int>(encoded.report.ok);
+    c_fn_encoded.Add(static_cast<std::uint64_t>(encoded.report.ok));
+    encoded.report.ok = 0;  // the decompile step already counted these
+    local.Merge(encoded.report);
     std::string write_error;
     if (!firmware::SaveFirmwareEncodings(encodings, model_, cache_path,
                                          &write_error)) {
@@ -865,22 +788,20 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
   }
   result->entries_searched = delta.size();
 
-  for (const firmware::VulnSpec& spec : firmware::VulnLibrary()) {
+  const std::vector<firmware::VulnSpec>& library = firmware::VulnLibrary();
+  std::vector<firmware::CveHits> found =
+      firmware::SearchVulnLibrary(delta, threshold, beta);
+  for (std::size_t q = 0; q < library.size(); ++q) {
     DeltaCveRow row;
-    row.cve = spec.cve;
-    row.software = spec.software;
-    row.function = spec.function;
-    std::string why;
-    core::FunctionFeature query;
-    if (!BuildVulnQuery(spec, beta, &query, &why)) {
-      result->report.AddFailed(why);
-      result->per_cve.push_back(std::move(row));
-      continue;
+    row.cve = library[q].cve;
+    row.software = library[q].software;
+    row.function = library[q].function;
+    row.hits = std::move(found[q].hits);
+    if (found[q].failure.empty()) {
+      result->report.AddOk();
+    } else {
+      result->report.AddFailed(found[q].failure);
     }
-    if (delta.size() > 0) {
-      row.hits = delta.AboveThreshold(query, threshold);
-    }
-    result->report.AddOk();
     result->per_cve.push_back(std::move(row));
   }
 

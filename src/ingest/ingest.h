@@ -52,7 +52,6 @@ struct IngestConfig {
   std::string index_dir;   // sharded-index directory (created if missing)
   int threads = 1;         // ParallelFor width for encoding
   int beta = 4;            // decompiler callee-expansion depth
-  int min_ast_size = 5;    // drop trivial functions (firmware corpus filter)
   // Shards with at most this many entries are "small" — Compact() merges
   // adjacent runs of two or more of them.
   int compact_max_entries = 256;
@@ -106,9 +105,10 @@ class IngestService {
   const store::ShardManifest& manifest() const { return manifest_; }
   std::string manifest_path() const;
 
-  // Decompiles every function of an unpacked image with the firmware-corpus
-  // filters (decompile errors fail the function, ASTs smaller than
-  // `min_ast_size` are skipped); outcomes land in `report` when non-null.
+  // Extracts every module of an unpacked image with
+  // decompiler::ExtractModule, the recipe the batch firmware corpus uses
+  // (IngestFile passes decompiler::kMinAstSize); features are named
+  // "<module>::<fn>" and outcomes land in `report` when non-null.
   static std::vector<core::FunctionFeature> DecompileImage(
       const firmware::FirmwareImage& image, int beta, int min_ast_size,
       util::PipelineReport* report);

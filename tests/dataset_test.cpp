@@ -6,6 +6,7 @@
 #include "binary/vm.h"
 #include "compiler/compile.h"
 #include "dataset/corpus.h"
+#include "decompiler/decompile.h"
 #include "dataset/generator.h"
 #include "minic/interp.h"
 #include "minic/printer.h"
@@ -100,7 +101,7 @@ TEST(Corpus, BuildsAllIsasWithGroundTruth) {
   EXPECT_GT(corpus.functions.size(), 20u);
   // Every retained function has a valid preprocessed tree and ACFG.
   for (const CorpusFunction& fn : corpus.functions) {
-    EXPECT_GE(fn.ast_size, config.min_ast_size);
+    EXPECT_GE(fn.ast_size, decompiler::kMinAstSize);
     EXPECT_EQ(fn.preprocessed.size(), fn.ast_size);
     EXPECT_GT(fn.acfg.size(), 0);
   }

@@ -1,6 +1,7 @@
 // Firmware tests: pack/unpack round trip, corruption detection, vuln
-// library validity, corpus construction with ground truth, and an
-// end-to-end search smoke test with a lightly trained model.
+// library validity, corpus construction with ground truth, the query
+// recipe, an end-to-end search smoke test with a lightly trained model, and
+// the SearchIndex-backed Table IV search against its scalar oracle.
 #include <gtest/gtest.h>
 
 #include "compiler/compile.h"
@@ -12,6 +13,8 @@
 #include "minic/interp.h"
 #include "minic/parser.h"
 #include "minic/sema.h"
+#include "util/failpoint.h"
+#include "vuln_search_oracle.h"
 
 namespace asteria::firmware {
 namespace {
@@ -175,47 +178,196 @@ TEST(VulnSearch, UntrainedModelRunsEndToEnd) {
   }
 }
 
-TEST(VulnSearch, TrainedModelFindsPlantedFunction) {
-  // Train the model to recognize the CVE functions across ISAs, then
-  // verify the search finds the planted instances.
+TEST(FirmwareCorpus, GenerationYieldsTheCorpusImages) {
+  FirmwareCorpusConfig config;
+  config.images = 6;
+  config.seed = 5;
+  const FirmwareCorpus generated = GenerateFirmware(config);
+  const FirmwareCorpus corpus = BuildFirmwareCorpus(config);
+  EXPECT_TRUE(generated.functions.empty());
+  ASSERT_EQ(generated.images.size(), corpus.images.size());
+  ASSERT_EQ(generated.planted.size(), generated.images.size());
+  for (std::size_t i = 0; i < corpus.images.size(); ++i) {
+    EXPECT_EQ(Pack(generated.images[i]), Pack(corpus.images[i])) << i;
+  }
+  // Every plant is extracted and carries its ground truth.
+  std::size_t planted = 0;
+  for (const auto& image : generated.planted) planted += image.size();
+  std::size_t labeled = 0;
+  for (const FirmwareFunction& fn : corpus.functions) {
+    if (!fn.truth_cve.empty()) ++labeled;
+  }
+  EXPECT_GT(labeled, 0u);
+  EXPECT_EQ(labeled, planted);
+}
+
+TEST(FirmwareCorpus, RecordsExtractionPositions) {
+  FirmwareCorpusConfig config;
+  config.images = 4;
+  config.seed = 17;
+  const FirmwareCorpus corpus = BuildFirmwareCorpus(config);
+  ASSERT_FALSE(corpus.functions.empty());
+  for (const FirmwareFunction& fn : corpus.functions) {
+    const binary::BinModule& module =
+        corpus.images[static_cast<std::size_t>(fn.image)]
+            .modules[static_cast<std::size_t>(fn.module_index)];
+    EXPECT_EQ(module.name, fn.module);
+    EXPECT_EQ(
+        module.functions[static_cast<std::size_t>(fn.function_index)].name,
+        fn.symbol);
+  }
+}
+
+TEST(QueryFeature, BuildsTheDecompiledLcrsTreeOrReportsAMissingName) {
+  const binary::BinModule module = SmallModule();
+  core::FunctionFeature feature;
+  std::string why;
+  ASSERT_TRUE(BuildQueryFeature(module, "g", 4, &feature, &why)) << why;
+  const auto decompiled =
+      decompiler::DecompileFunction(module, module.FindFunction("g"), 4);
+  EXPECT_EQ(feature.name, "g");
+  EXPECT_EQ(feature.callee_count, decompiled.callee_count);
+  EXPECT_EQ(feature.tree.LabelHistogram(),
+            ast::ToLeftChildRightSibling(decompiled.tree).LabelHistogram());
+
+  EXPECT_FALSE(BuildQueryFeature(module, "missing", 4, &feature, &why));
+  EXPECT_EQ(why, "no function 'missing'");
+  const VulnSpec& spec = VulnLibrary().front();
+  VulnSpec renamed = spec;
+  renamed.function = "missing";
+  EXPECT_FALSE(
+      BuildCveQuery(renamed, binary::Isa::kX86, 4, &feature, &why));
+  EXPECT_EQ(why.rfind(spec.cve + ": ", 0), 0u) << why;
+}
+
+// Every shipped software vulnerable, so the trained search has hits.
+FirmwareCorpusConfig PlantedCorpusConfig() {
   FirmwareCorpusConfig config;
   config.images = 10;
   config.seed = 3;
   config.software_probability = 1.0;
-  config.vulnerable_probability = 1.0;  // every shipped software vulnerable
-  FirmwareCorpus corpus = BuildFirmwareCorpus(config);
+  config.vulnerable_probability = 1.0;
+  return config;
+}
 
-  core::AsteriaConfig model_config;
-  model_config.siamese.encoder.embedding_dim = 8;
-  model_config.siamese.encoder.hidden_dim = 8;
-  core::AsteriaModel model(model_config);
+core::AsteriaConfig SmallModelConfig() {
+  core::AsteriaConfig config;
+  config.siamese.encoder.embedding_dim = 8;
+  config.siamese.encoder.hidden_dim = 8;
+  return config;
+}
 
-  // Training set: CVE functions compiled on two ISAs (positive pairs) and
-  // CVE-vs-other-CVE (negative pairs).
+// Trains `model` to recognize the CVE functions across ISAs: each compiled
+// on two ISAs (positive pairs) and against another CVE (negative pairs).
+void TrainOnCveLibrary(core::AsteriaModel* model) {
   std::vector<ast::BinaryAst> queries;
   for (const VulnSpec& spec : VulnLibrary()) {
     for (int isa : {0, 2}) {
-      minic::Program program;
-      std::string error;
-      ASSERT_TRUE(minic::Parse(spec.vulnerable_source, &program, &error));
-      auto compiled = compiler::CompileProgram(
-          program, static_cast<binary::Isa>(isa), spec.software);
-      ASSERT_TRUE(compiled.ok);
-      const int fn = compiled.module.FindFunction(spec.function);
-      ASSERT_GE(fn, 0);
-      auto decompiled = asteria::decompiler::DecompileFunction(compiled.module, fn);
-      queries.push_back(ast::ToLeftChildRightSibling(decompiled.tree));
+      core::FunctionFeature query;
+      std::string why;
+      ASSERT_TRUE(BuildCveQuery(spec, static_cast<binary::Isa>(isa),
+                                decompiler::kDefaultBeta, &query, &why))
+          << why;
+      queries.push_back(std::move(query.tree));
     }
   }
   for (int epoch = 0; epoch < 40; ++epoch) {
     for (std::size_t i = 0; i + 1 < queries.size(); i += 2) {
-      model.TrainPair(queries[i], queries[i + 1], true);
+      model->TrainPair(queries[i], queries[i + 1], true);
       const std::size_t other = (i + 2) % queries.size();
-      model.TrainPair(queries[i], queries[other + 1], false);
+      model->TrainPair(queries[i], queries[other + 1], false);
     }
   }
+}
+
+TEST(VulnSearch, TrainedModelFindsPlantedFunction) {
+  FirmwareCorpus corpus = BuildFirmwareCorpus(PlantedCorpusConfig());
+  core::AsteriaModel model(SmallModelConfig());
+  TrainOnCveLibrary(&model);
   VulnSearchResult result = RunVulnSearch(model, corpus, /*threshold=*/0.6);
   EXPECT_GT(result.total_confirmed, 0);
+}
+
+class VulnSearchOracle : public ::testing::Test {
+ protected:
+  void SetUp() override { util::ClearFailpoints(); }
+  void TearDown() override { util::ClearFailpoints(); }
+
+  // RunVulnSearch over `encodings` must reproduce the scalar loop's every
+  // row field and both totals. Returns the oracle's total candidates.
+  int ExpectMatchesOracle(const core::AsteriaModel& model,
+                          const FirmwareCorpus& corpus,
+                          const std::vector<nn::Matrix>& encodings,
+                          double threshold) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    const VulnSearchResult actual =
+        RunVulnSearch(model, corpus, encodings, threshold);
+    const VulnSearchResult expected =
+        oracle::ScalarVulnSearch(model, corpus, encodings, threshold);
+    EXPECT_EQ(actual.per_cve.size(), expected.per_cve.size());
+    for (std::size_t i = 0;
+         i < std::min(actual.per_cve.size(), expected.per_cve.size()); ++i) {
+      const CveSearchResult& a = actual.per_cve[i];
+      const CveSearchResult& e = expected.per_cve[i];
+      EXPECT_EQ(a.cve, e.cve);
+      EXPECT_EQ(a.software, e.software) << e.cve;
+      EXPECT_EQ(a.function, e.function) << e.cve;
+      EXPECT_EQ(a.candidates, e.candidates) << e.cve;
+      EXPECT_EQ(a.criteria_a, e.criteria_a) << e.cve;
+      EXPECT_EQ(a.criteria_b, e.criteria_b) << e.cve;
+      EXPECT_EQ(a.confirmed, e.confirmed) << e.cve;
+      EXPECT_EQ(a.false_positives, e.false_positives) << e.cve;
+      EXPECT_EQ(a.affected_models, e.affected_models) << e.cve;
+    }
+    EXPECT_EQ(actual.total_confirmed, expected.total_confirmed);
+    EXPECT_EQ(actual.total_candidates, expected.total_candidates);
+    return expected.total_candidates;
+  }
+};
+
+TEST_F(VulnSearchOracle, UntrainedWeightsMatchScalarLoop) {
+  FirmwareCorpusConfig config;
+  config.images = 5;
+  config.seed = 13;
+  const FirmwareCorpus corpus = BuildFirmwareCorpus(config);
+  const core::AsteriaModel model(SmallModelConfig());
+  const std::vector<nn::Matrix> encodings =
+      EncodeFirmwareCorpus(model, corpus);
+  // Untrained scores sit in a few calibration bands below 0.4: 0.1 and 0.3
+  // cut between bands, and 0.5 clears none of them.
+  EXPECT_GT(ExpectMatchesOracle(model, corpus, encodings, 0.1), 0);
+  EXPECT_GT(ExpectMatchesOracle(model, corpus, encodings, 0.3), 0);
+  EXPECT_EQ(ExpectMatchesOracle(model, corpus, encodings, 0.5), 0);
+}
+
+TEST_F(VulnSearchOracle, TrainedWeightsMatchScalarLoopAtEveryThreshold) {
+  const FirmwareCorpus corpus = BuildFirmwareCorpus(PlantedCorpusConfig());
+  core::AsteriaModel model(SmallModelConfig());
+  TrainOnCveLibrary(&model);
+  const std::vector<nn::Matrix> encodings =
+      EncodeFirmwareCorpus(model, corpus);
+  // Threshold 0 keeps every pair; 0.9 lets the prune skip most of them.
+  EXPECT_EQ(ExpectMatchesOracle(model, corpus, encodings, 0.0),
+            static_cast<int>(VulnLibrary().size() * corpus.functions.size()));
+  for (double threshold : {0.5, 0.6}) {
+    EXPECT_GT(ExpectMatchesOracle(model, corpus, encodings, threshold), 0);
+  }
+  ExpectMatchesOracle(model, corpus, encodings, 0.9);
+}
+
+TEST_F(VulnSearchOracle, EncodingPlaceholdersMatchScalarLoop) {
+  const FirmwareCorpus corpus = BuildFirmwareCorpus(PlantedCorpusConfig());
+  core::AsteriaModel model(SmallModelConfig());
+  TrainOnCveLibrary(&model);
+  ASSERT_TRUE(util::ConfigureFailpoints("firmware.encode=every:4"));
+  const std::vector<nn::Matrix> encodings =
+      EncodeFirmwareCorpus(model, corpus);
+  util::ClearFailpoints();
+  ASSERT_EQ(encodings.size(), corpus.functions.size());
+  ASSERT_EQ(encodings[3].size(), 0u);
+  for (double threshold : {0.0, 0.5, 0.6, 0.9}) {
+    ExpectMatchesOracle(model, corpus, encodings, threshold);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //  1. Shard equivalence: an index assembled from per-image shards via
 //     OpenSharded answers TopK/TopKBatch bitwise identical to a monolithic
 //     index built from the same functions, at thread counts 1/2/8 — and the
-//     stored encodings themselves are bitwise equal.
+//     stored encodings themselves are bitwise equal. The streaming
+//     extraction yields the batch firmware corpus's features, in order.
 //  2. Crash-publish: a failpoint-injected crash at every ingest.* point
 //     (and at the store layer's own crash point) leaves the previously
 //     published manifest loading bitwise-intact, a dedup republishes
@@ -38,6 +39,7 @@
 
 #include "core/asteria.h"
 #include "core/search_index.h"
+#include "decompiler/decompile.h"
 #include "firmware/image.h"
 #include "firmware/search.h"
 #include "ingest/ingest.h"
@@ -149,9 +151,12 @@ std::vector<std::string> PackImages(const firmware::FirmwareCorpus& corpus,
   return paths;
 }
 
-// What IngestFile indexes for one packed image: the post-unpack decompile
-// with the corpus filters. Built here independently so the monolithic
-// reference never touches the ingest code under test.
+// What IngestFile indexes for the packed images at `paths`: each image
+// unpacked and run through IngestService::DecompileImage, the extraction
+// step IngestFile itself calls. The references below therefore pin what
+// IngestFile does after extraction (encode, cache, shard, publish);
+// BatchCorpusAndStreamingExtractionAgree pins the extraction itself
+// against the batch firmware corpus.
 std::vector<core::FunctionFeature> ReferenceFeatures(
     const std::vector<std::string>& paths, int beta, int min_ast_size) {
   std::vector<core::FunctionFeature> features;
@@ -250,6 +255,31 @@ TEST_F(IngestTest, ShardedBitwiseIdenticalToMonolithic) {
   core::SearchIndex opened(model);
   ASSERT_TRUE(opened.Open(ManifestPath(dir), &error)) << error;
   EXPECT_EQ(opened.size(), mono.size());
+}
+
+TEST_F(IngestTest, BatchCorpusAndStreamingExtractionAgree) {
+  // BuildFirmwareCorpus (batch) and DecompileImage over the same unpacked
+  // images (streaming) yield the same features in the same order.
+  const auto corpus = MakeCorpus(6, 23);
+  const auto paths = PackImages(corpus, TempPath("extract"), 6);
+  const auto streamed =
+      ReferenceFeatures(paths, corpus.beta, decompiler::kMinAstSize);
+  ASSERT_EQ(streamed.size(), corpus.functions.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    const core::FunctionFeature& batch = corpus.functions[i].feature;
+    EXPECT_EQ(streamed[i].name, batch.name) << i;
+    EXPECT_EQ(streamed[i].callee_count, batch.callee_count) << i;
+    ASSERT_EQ(streamed[i].tree.size(), batch.tree.size()) << i;
+    EXPECT_EQ(streamed[i].tree.root(), batch.tree.root()) << i;
+    for (ast::NodeId id = 0; id < batch.tree.size(); ++id) {
+      const ast::BinaryNode& got = streamed[i].tree.node(id);
+      const ast::BinaryNode& want = batch.tree.node(id);
+      EXPECT_EQ(got.label, want.label) << i << "/" << id;
+      EXPECT_EQ(got.payload_bucket, want.payload_bucket) << i << "/" << id;
+      EXPECT_EQ(got.left, want.left) << i << "/" << id;
+      EXPECT_EQ(got.right, want.right) << i << "/" << id;
+    }
+  }
 }
 
 // -- 2. Crash-publish contract ----------------------------------------------

@@ -540,7 +540,7 @@ TEST_F(RobustnessTest, CorruptFirmwareEncodingsCacheRebuildsIdentically) {
   ASSERT_GT(corpus.functions.size(), 0u);
 
   const firmware::VulnSearchResult cold =
-      firmware::RunVulnSearchCached(model, corpus, 0.5, 4, path);
+      firmware::RunVulnSearch(model, corpus, 0.5, path);
   ASSERT_TRUE(FileExists(path));
 
   std::vector<std::uint8_t> bytes = ReadAll(path);
@@ -548,7 +548,7 @@ TEST_F(RobustnessTest, CorruptFirmwareEncodingsCacheRebuildsIdentically) {
   WriteAll(path, bytes);
 
   const firmware::VulnSearchResult warm =
-      firmware::RunVulnSearchCached(model, corpus, 0.5, 4, path);
+      firmware::RunVulnSearch(model, corpus, 0.5, path);
   EXPECT_TRUE(FileExists(path + ".corrupt"));
   ASSERT_EQ(warm.per_cve.size(), cold.per_cve.size());
   EXPECT_EQ(warm.total_candidates, cold.total_candidates);
@@ -614,6 +614,32 @@ TEST_F(RobustnessTest, EmptyTreeIsSkippedNotFailed) {
   EXPECT_EQ(report.skipped, 1);
   EXPECT_EQ(report.failed, 0);
   EXPECT_EQ(index.size(), 2);
+}
+
+TEST_F(RobustnessTest, EncodeFailpointPicksTheSameFeaturesAtEveryThreadCount) {
+  // EncodeIsolated asks the failpoint once per non-empty feature, in input
+  // order, before any worker starts: every:3 fails the 3rd, 6th, ...
+  // non-empty feature whatever the thread count.
+  core::AsteriaModel model(SmallModelConfig());
+  auto features = SyntheticFeatures(10, 7);
+  features[1].tree = ast::BinaryAst();  // empty: skipped, never a hit
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ClearFailpoints();
+    Arm("search.encode=every:3");
+    core::SearchIndex index(model, threads);
+    const util::PipelineReport report = index.AddAll(features);
+    EXPECT_EQ(report.skipped, 1);
+    EXPECT_EQ(report.failed, 3);
+    EXPECT_EQ(report.ok, 6);
+    ASSERT_EQ(report.reasons.size(), 4u);
+    EXPECT_EQ(report.reasons[0], features[1].name + ": empty AST");
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(report.reasons[k + 1],
+                features[3 + 3 * k].name +
+                    ": injected failure (failpoint search.encode)");
+    }
+  }
 }
 
 TEST_F(RobustnessTest, FirmwareEncodingFailuresKeepPositionalAlignment) {

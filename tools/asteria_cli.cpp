@@ -353,6 +353,18 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
+// firmware::BuildQueryFeature, reporting a missing function on stderr.
+bool BuildQueryOrWarn(const binary::BinModule& module, const std::string& fn,
+                      core::FunctionFeature* query) {
+  std::string why;
+  if (firmware::BuildQueryFeature(module, fn, decompiler::kDefaultBeta, query,
+                                  &why)) {
+    return true;
+  }
+  std::fprintf(stderr, "%s\n", why.c_str());
+  return false;
+}
+
 int CmdSim(int argc, char** argv) {
   if (argc < 7) return Usage();
   minic::Program program;
@@ -378,17 +390,7 @@ int CmdSim(int argc, char** argv) {
   auto feature = [&](const std::string& fn_name, binary::Isa isa,
                      core::FunctionFeature* out) {
     auto result = compiler::CompileProgram(program, isa, "cli");
-    if (!result.ok) return false;
-    const int fn = result.module.FindFunction(fn_name);
-    if (fn < 0) {
-      std::fprintf(stderr, "no function '%s'\n", fn_name.c_str());
-      return false;
-    }
-    auto decompiled = decompiler::DecompileFunction(result.module, fn);
-    out->name = fn_name;
-    out->tree = core::AsteriaModel::Preprocess(decompiled.tree);
-    out->callee_count = decompiled.callee_count;
-    return true;
+    return result.ok && BuildQueryOrWarn(result.module, fn_name, out);
   };
   core::FunctionFeature a, b;
   if (!feature(fn_a, isa_a, &a) || !feature(fn_b, isa_b, &b)) return 1;
@@ -650,15 +652,7 @@ int CmdIndexQuery(int argc, char** argv) {
   }
   std::vector<core::FunctionFeature> queries(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    const int fn = result.module.FindFunction(names[i]);
-    if (fn < 0) {
-      std::fprintf(stderr, "no function '%s'\n", names[i].c_str());
-      return 1;
-    }
-    auto decompiled = decompiler::DecompileFunction(result.module, fn);
-    queries[i].name = names[i];
-    queries[i].tree = core::AsteriaModel::Preprocess(decompiled.tree);
-    queries[i].callee_count = decompiled.callee_count;
+    if (!BuildQueryOrWarn(result.module, names[i], &queries[i])) return 1;
   }
   std::vector<const core::FunctionFeature*> query_ptrs(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) query_ptrs[i] = &queries[i];
@@ -705,16 +699,8 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "compile error: %s\n", result.error.c_str());
     return 1;
   }
-  const int fn = result.module.FindFunction(query_fn);
-  if (fn < 0) {
-    std::fprintf(stderr, "no function '%s'\n", query_fn.c_str());
-    return 1;
-  }
-  auto decompiled = decompiler::DecompileFunction(result.module, fn);
   core::FunctionFeature query;
-  query.name = query_fn;
-  query.tree = core::AsteriaModel::Preprocess(decompiled.tree);
-  query.callee_count = decompiled.callee_count;
+  if (!BuildQueryOrWarn(result.module, query_fn, &query)) return 1;
 
   serve::Client client;
   std::string error;
@@ -868,7 +854,7 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-// Packs synthetic firmware images (the BuildFirmwareCorpus generator) into
+// Packs synthetic firmware images (firmware::GenerateFirmware) into
 // <out_dir>/img-<seed>-<i>.fw — the drop files `ingest` consumes. The
 // output is a pure function of (count, seed).
 int CmdFwGen(int argc, char** argv) {
@@ -889,8 +875,7 @@ int CmdFwGen(int argc, char** argv) {
   firmware::FirmwareCorpusConfig config;
   config.images = static_cast<int>(count);
   config.seed = static_cast<std::uint64_t>(seed);
-  const firmware::FirmwareCorpus corpus =
-      firmware::BuildFirmwareCorpus(config);
+  const firmware::FirmwareCorpus corpus = firmware::GenerateFirmware(config);
   if (::mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "cannot create %s: %s\n", out_dir.c_str(),
                  std::strerror(errno));
