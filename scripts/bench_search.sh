@@ -5,8 +5,10 @@
 # brute-force reference. The bench itself verifies the two paths return
 # bitwise-identical hits before timing anything, so this gate enforces both
 # the exactness contract and the speedup floor. Writes the machine-readable
-# result to BENCH_search.json at the repo root and fails unless the batched
-# path is at least MIN_SEARCH_SPEEDUP x faster per query.
+# result to <build-dir>/bench_out/BENCH_search.json (the committed
+# BENCH_search.json at the repo root is the recorded result, never
+# rewritten by a gate run) and fails unless the batched path is at least
+# MIN_SEARCH_SPEEDUP x faster per query.
 #
 # Usage: scripts/bench_search.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -39,7 +41,9 @@ IDENTICAL="$(get bitwise_identical)"
   || { echo "FAIL: batched sweep is not bitwise identical to brute force" >&2
        exit 1; }
 
-cat > "$ROOT/BENCH_search.json" <<EOF
+OUT_JSON="$BUILD/bench_out/BENCH_search.json"
+mkdir -p "$(dirname "$OUT_JSON")"
+cat > "$OUT_JSON" <<EOF
 {
   "workload": "top-$TOPK batch of $BATCH queries over $ENTRIES synthetic entries, packed/pruned TopKBatch vs per-query brute force",
   "entries": $ENTRIES,
@@ -54,7 +58,7 @@ cat > "$ROOT/BENCH_search.json" <<EOF
 }
 EOF
 echo
-cat "$ROOT/BENCH_search.json"
+cat "$OUT_JSON"
 
 awk -v s="$SPEEDUP" -v min="$MIN_SEARCH_SPEEDUP" \
     'BEGIN { exit (s + 0 >= min + 0) ? 0 : 1 }' \

@@ -6,9 +6,9 @@
 #      appenders), trace-id echo (and the client failing a reply that does
 #      not echo it), record completeness (one record per frame, unknown
 #      types included, and under shed/deadline/cancel at workers 1/2/8),
-#      kStats, and the slow-query capture — under BOTH TSan and
-#      ASan+UBSan: the wait-free Append path and the telemetry sampler
-#      thread must be provably race-free.
+#      the health probe's totals and latency percentiles, and the
+#      slow-query capture — under BOTH TSan and ASan+UBSan: the wait-free
+#      Append path must be provably race-free.
 #
 #   2. An end-to-end chaos storm: a stalled, admission-limited daemon takes
 #      concurrent no-retry clients plus a doomed --deadline_ms=1 query, every
@@ -21,9 +21,8 @@
 #
 #   3. Tracing must not perturb determinism: the same scripted session with
 #      the full tracing stack armed (--slow_query_ms=0, slow log, request
-#      ring, telemetry sampler) yields an identical deterministic metrics
-#      slice at --workers=1 and --workers=2, the slow log parses cleanly,
-#      and `ctl top` answers.
+#      ring) yields an identical deterministic metrics slice at --workers=1
+#      and --workers=2, the slow log parses cleanly, and `ctl top` answers.
 #
 # Usage: scripts/check_trace.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -36,7 +35,7 @@ make_work_dir
 TRACE_FILTER='RequestLogTest.*:ServeTest.TraceIdIsEchoed*'
 TRACE_FILTER+=':ServeTest.ClientRejectsARepliedTraceId*'
 TRACE_FILTER+=':ServeTest.ClientAndServerRecords*'
-TRACE_FILTER+=':ServeTest.RequestLogComplete*:ServeTest.StatsProbe*'
+TRACE_FILTER+=':ServeTest.RequestLogComplete*'
 TRACE_FILTER+=':ServeTest.HealthProbeReportsCumulative*'
 TRACE_FILTER+=':ServeTest.SlowQueryCapture*'
 
@@ -161,7 +160,7 @@ echo "== check_trace: determinism with tracing armed =="
 for workers in 1 2; do
   SOCK="$WORK/det$workers.sock"
   "$SERVE" --socket="$SOCK" --index="$WORK/prog.idx" --workers=$workers \
-      --batch_max=4 --telemetry_interval_ms=50 \
+      --batch_max=4 \
       --slow_query_ms=0 --slow_log="$WORK/slow$workers.jsonl" \
       --metrics_out="$WORK/m$workers.json" \
       --request_log_out="$WORK/ring$workers.jsonl" \
@@ -177,7 +176,6 @@ for workers in 1 2; do
   } > "$WORK/out$workers.txt" \
     || { echo "FAIL: traced session failed at workers=$workers" >&2
          cat "$WORK/det$workers.log" >&2; exit 1; }
-  sleep 0.3  # let the 50 ms sampler bank a few samples for ctl top
   "$CLI" ctl top --socket="$SOCK" > "$WORK/top$workers.txt" \
     || { echo "FAIL: ctl top failed at workers=$workers" >&2; exit 1; }
   grep -q 'p50_ms=' "$WORK/top$workers.txt" \

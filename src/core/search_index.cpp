@@ -13,7 +13,6 @@
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::core {
@@ -294,8 +293,7 @@ SearchIndex::SearchIndex(const AsteriaModel& model, int threads)
 }
 
 int SearchIndex::Add(const FunctionFeature& feature) {
-  ASTERIA_SPAN("encode");
-  util::Timer timer;
+  util::TraceSpan span("encode");
   const nn::Matrix encoding = model_.Encode(feature.tree);
   std::memcpy(packed_.AppendColumn(), encoding.data(),
               static_cast<std::size_t>(hidden_dim_) * sizeof(double));
@@ -304,7 +302,7 @@ int SearchIndex::Add(const FunctionFeature& feature) {
   meta.callee_count = feature.callee_count;
   entries_.push_back(std::move(meta));
   MarkSideIndexDirty();
-  h_add_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
+  h_add_nanos.Observe(span.End());
   return static_cast<int>(entries_.size()) - 1;
 }
 
@@ -611,15 +609,13 @@ std::vector<SearchIndex::QueryPlan> SearchIndex::EncodeBatch(
   std::vector<QueryPlan> plans(queries.size());
   util::ParallelFor(static_cast<std::int64_t>(queries.size()), threads_,
                     [&](std::int64_t q) {
-                      ASTERIA_SPAN("encode");
-                      const std::int64_t encode_start =
-                          util::TraceNowNanos();
+                      util::TraceSpan span("encode");
                       const std::size_t slot = static_cast<std::size_t>(q);
                       plans[slot].encoding = model_.Encode(queries[slot]->tree);
                       plans[slot].callees = queries[slot]->callee_count;
+                      const std::uint64_t encode_nanos = span.End();
                       if (stats != nullptr) {
-                        (*stats)[slot].encode_nanos = static_cast<std::uint64_t>(
-                            util::TraceNowNanos() - encode_start);
+                        (*stats)[slot].encode_nanos = encode_nanos;
                       }
                     });
   return plans;
@@ -628,15 +624,14 @@ std::vector<SearchIndex::QueryPlan> SearchIndex::EncodeBatch(
 std::vector<SearchHit> SearchIndex::TopK(const FunctionFeature& query,
                                          int k) const {
   if (k <= 0 || entries_.empty()) return {};
-  ASTERIA_SPAN("search");
-  util::Timer timer;
+  util::TraceSpan span("search");
   std::vector<QueryPlan> plans(1);
   plans[0].encoding = model_.Encode(query.tree);
   plans[0].callees = query.callee_count;
   plans[0].keep =
       std::min<std::size_t>(static_cast<std::size_t>(k), entries_.size());
   std::vector<SearchHit> hits = std::move(Sweep(&plans)[0]);
-  h_topk_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
+  h_topk_nanos.Observe(span.End());
   h_topk_size.Observe(hits.size());
   return hits;
 }
@@ -647,8 +642,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKBatch(
   const std::size_t batch = queries.size();
   if (stats != nullptr) stats->assign(batch, QuerySearchStats{});
   if (batch == 0) return {};
-  ASTERIA_SPAN("search");
-  util::Timer timer;
+  util::TraceSpan span("search");
   h_topk_batch_queries.Observe(batch);
   std::vector<QueryPlan> plans = EncodeBatch(queries, stats);
   for (std::size_t q = 0; q < batch; ++q) {
@@ -661,7 +655,7 @@ std::vector<std::vector<SearchHit>> SearchIndex::TopKBatch(
   for (std::size_t q = 0; q < batch; ++q) {
     h_topk_size.Observe(results[q].size());
   }
-  h_topk_batch_nanos.Observe(static_cast<std::uint64_t>(timer.ElapsedNanos()));
+  h_topk_batch_nanos.Observe(span.End());
   return results;
 }
 

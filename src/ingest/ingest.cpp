@@ -1,14 +1,11 @@
 #include "ingest/ingest.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -17,6 +14,7 @@
 #include "firmware/vulnlib.h"
 #include "serve/client.h"
 #include "store/container.h"
+#include "util/crc_lines.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -221,20 +219,20 @@ void IngestService::PokeServe() const {
 bool IngestService::IngestFile(const std::string& path, IngestStats* stats,
                                std::string* error) {
   if (!Open(error)) return false;
-  ASTERIA_SPAN("ingest");
+  util::TraceSpan span("ingest");
   util::PipelineReport local;
   local.stage = "ingest";
   // One wide-event record per image (docs/OBSERVABILITY.md): the pipeline's
-  // wall time rides in encode_nanos (encoding dominates an ingest), the
-  // image path in name, the outcome says published vs failed. Deduped
-  // images cut a record too — "we did nothing" is an answer.
-  util::Timer op_timer;
+  // wall time — the "ingest" span, ended here — rides in encode_nanos
+  // (encoding dominates an ingest), the image path in name, the outcome
+  // says published vs failed. Deduped images cut a record too — "we did
+  // nothing" is an answer.
   const auto cut_record = [&](util::RequestOutcome outcome) {
     util::RequestRecord record;
     record.trace_id = util::MintTraceId();
     record.op = "ingest.image";
     record.outcome = outcome;
-    record.encode_nanos = static_cast<std::uint64_t>(op_timer.ElapsedNanos());
+    record.encode_nanos = span.End();
     record.SetName(path);
     record.end_nanos = util::TraceNowNanos();
     util::GlobalRequestLog().Append(record);
@@ -499,38 +497,17 @@ bool IngestService::Compact(int* merged_runs, std::string* error) {
 
 namespace {
 
-// Minimal JSON string codec for the alert log: the writer controls the
-// schema, so only the escapes it can emit need handling (quote, backslash,
-// and control bytes as \u00XX).
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
+constexpr const char* kAlertTag = "ALRT";
 
 std::string AlertJson(const AlertRecord& alert) {
   std::string json = "{\"seq\":" + std::to_string(alert.seq) + ",\"cve\":";
-  AppendJsonString(alert.cve, &json);
+  util::AppendJsonString(alert.cve, &json);
   json += ",\"software\":";
-  AppendJsonString(alert.software, &json);
+  util::AppendJsonString(alert.software, &json);
   json += ",\"function\":";
-  AppendJsonString(alert.function, &json);
+  util::AppendJsonString(alert.function, &json);
   json += ",\"hit\":";
-  AppendJsonString(alert.hit, &json);
+  util::AppendJsonString(alert.hit, &json);
   char score[40];
   std::snprintf(score, sizeof(score), "%.17g", alert.score);
   json += ",\"score\":";
@@ -539,92 +516,15 @@ std::string AlertJson(const AlertRecord& alert) {
   return json;
 }
 
-// Parses a JSON string literal starting at (*pos) == '"'; advances *pos
-// past the closing quote.
-bool ParseJsonString(const std::string& text, std::size_t* pos,
-                     std::string* out) {
-  if (*pos >= text.size() || text[*pos] != '"') return false;
-  ++*pos;
-  out->clear();
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (c == '"') {
-      ++*pos;
-      return true;
-    }
-    if (c == '\\') {
-      if (*pos + 1 >= text.size()) return false;
-      const char esc = text[*pos + 1];
-      if (esc == '"' || esc == '\\') {
-        out->push_back(esc);
-        *pos += 2;
-        continue;
-      }
-      if (esc == 'u') {
-        if (*pos + 5 >= text.size()) return false;
-        unsigned value = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = text[*pos + 2 + static_cast<std::size_t>(i)];
-          value <<= 4;
-          if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        if (value > 0xff) return false;  // the writer only emits \u00XX
-        out->push_back(static_cast<char>(value));
-        *pos += 6;
-        continue;
-      }
-      return false;
-    }
-    out->push_back(c);
-    ++*pos;
-  }
-  return false;
-}
-
-// Expects `key` (with quotes and colon) at *pos, e.g. "\"cve\":".
-bool ExpectToken(const std::string& text, std::size_t* pos,
-                 const std::string& token) {
-  if (text.compare(*pos, token.size(), token) != 0) return false;
-  *pos += token.size();
-  return true;
-}
-
 bool ParseAlertJson(const std::string& json, AlertRecord* alert) {
-  std::size_t pos = 0;
-  if (!ExpectToken(json, &pos, "{\"seq\":")) return false;
-  char* end = nullptr;
-  errno = 0;
-  alert->seq = std::strtoull(json.c_str() + pos, &end, 10);
-  if (errno != 0 || end == json.c_str() + pos) return false;
-  pos = static_cast<std::size_t>(end - json.c_str());
-  if (!ExpectToken(json, &pos, ",\"cve\":") ||
-      !ParseJsonString(json, &pos, &alert->cve) ||
-      !ExpectToken(json, &pos, ",\"software\":") ||
-      !ParseJsonString(json, &pos, &alert->software) ||
-      !ExpectToken(json, &pos, ",\"function\":") ||
-      !ParseJsonString(json, &pos, &alert->function) ||
-      !ExpectToken(json, &pos, ",\"hit\":") ||
-      !ParseJsonString(json, &pos, &alert->hit) ||
-      !ExpectToken(json, &pos, ",\"score\":")) {
-    return false;
-  }
-  errno = 0;
-  alert->score = std::strtod(json.c_str() + pos, &end);
-  if (errno != 0 || end == json.c_str() + pos) return false;
-  pos = static_cast<std::size_t>(end - json.c_str());
-  return ExpectToken(json, &pos, "}") && pos == json.size();
-}
-
-std::string AlertLine(const AlertRecord& alert) {
-  const std::string json = AlertJson(alert);
-  const std::uint32_t crc = store::Crc32(
-      reinterpret_cast<const std::uint8_t*>(json.data()), json.size());
-  char head[16];
-  std::snprintf(head, sizeof(head), "ALRT %08x ", crc);
-  return head + json + "\n";
+  util::JsonCursor in(json);
+  return in.Expect("{\"seq\":") && in.Unsigned(&alert->seq) &&
+         in.Expect(",\"cve\":") && in.String(&alert->cve) &&
+         in.Expect(",\"software\":") && in.String(&alert->software) &&
+         in.Expect(",\"function\":") && in.String(&alert->function) &&
+         in.Expect(",\"hit\":") && in.String(&alert->hit) &&
+         in.Expect(",\"score\":") && in.Double(&alert->score) &&
+         in.Expect("}") && in.Done();
 }
 
 }  // namespace
@@ -643,37 +543,12 @@ bool AppendAlerts(const std::string& index_dir,
              "ingest.alert_append)";
     return false;
   }
-  std::string buffer;
+  std::string lines;
   for (const AlertRecord& alert : alerts) {
-    buffer += AlertLine(alert);
+    lines += util::CrcLine(kAlertTag, AlertJson(alert));
   }
-  // One O_APPEND write for the whole run: concurrent appenders never
-  // interleave bytes, and a crash tears at most the final line — which the
-  // reader's per-line CRC catches.
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    *error = path + ": open for append failed: " + std::strerror(errno);
-    return false;
-  }
-  std::size_t done = 0;
-  while (done < buffer.size()) {
-    const ssize_t n = ::write(fd, buffer.data() + done, buffer.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = path + ": append failed: " + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    *error = path + ": fsync failed: " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  ::close(fd);
-  for (std::size_t i = 0; i < alerts.size(); ++i) c_alerts.Increment();
+  if (!util::WriteCrcLines(path, lines, /*append=*/true, error)) return false;
+  c_alerts.Add(alerts.size());
   return true;
 }
 
@@ -681,75 +556,27 @@ bool ReadAlertLog(const std::string& index_dir,
                   std::vector<AlertRecord>* alerts, int* corrupt_lines,
                   std::string* error) {
   alerts->clear();
-  if (corrupt_lines != nullptr) *corrupt_lines = 0;
-  const std::string path = AlertLogPath(index_dir);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno == ENOENT) return true;  // no alerts yet
-    *error = path + ": open failed: " + std::strerror(errno);
-    return false;
-  }
-  std::string contents;
-  char buffer[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    *error = path + ": read failed";
-    return false;
-  }
-  std::size_t start = 0;
-  while (start < contents.size()) {
-    std::size_t newline = contents.find('\n', start);
-    // A final line with no terminating newline is a torn tail by
-    // definition (the writer always ends lines), so it lands in the
-    // corrupt count via the checks below.
-    const bool terminated = newline != std::string::npos;
-    if (!terminated) newline = contents.size();
-    const std::string line = contents.substr(start, newline - start);
-    start = newline + 1;
-    if (line.empty()) continue;
-    bool good = false;
-    AlertRecord alert;
-    // "ALRT " + 8 hex + " " + json, CRC over the json bytes.
-    if (terminated && line.size() > 14 && line.compare(0, 5, "ALRT ") == 0 &&
-        line[13] == ' ') {
-      char* end = nullptr;
-      errno = 0;
-      const std::string hex = line.substr(5, 8);
-      const unsigned long declared = std::strtoul(hex.c_str(), &end, 16);
-      if (errno == 0 && end == hex.c_str() + 8) {
-        const std::string json = line.substr(14);
-        const std::uint32_t actual = store::Crc32(
-            reinterpret_cast<const std::uint8_t*>(json.data()), json.size());
-        if (actual == static_cast<std::uint32_t>(declared) &&
-            ParseAlertJson(json, &alert)) {
-          good = true;
-        }
-      }
-    }
-    if (good) {
-      alerts->push_back(std::move(alert));
-    } else if (corrupt_lines != nullptr) {
-      ++*corrupt_lines;
-    }
-  }
-  return true;
+  return util::ReadCrcLines(
+      AlertLogPath(index_dir), kAlertTag, /*missing_ok=*/true,
+      [alerts](const std::string& json) {
+        AlertRecord alert;
+        if (!ParseAlertJson(json, &alert)) return false;
+        alerts->push_back(std::move(alert));
+        return true;
+      },
+      corrupt_lines, error);
 }
 
 bool DeltaVulnSearch(const core::AsteriaModel& model,
                      const std::string& index_dir, double threshold,
                      int beta, int threads, DeltaVulnResult* result,
                      std::string* error) {
-  ASTERIA_SPAN("delta-vuln-search");
   // Wide-event record for the whole sweep, cut on every exit path: the
-  // sweep wall time in score_nanos, the delta's entry count in
-  // scored_pairs, ok only when the scan (and its manifest advance) landed.
+  // "delta-vuln-search" span's wall time in score_nanos, the delta's entry
+  // count in scored_pairs, ok only when the scan (and its manifest advance)
+  // landed.
   struct RecordGuard {
-    util::Timer timer;
+    util::TraceSpan span{"delta-vuln-search"};
     const DeltaVulnResult* result = nullptr;
     bool ok = false;
     ~RecordGuard() {
@@ -758,7 +585,7 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
       record.op = "ingest.delta_search";
       record.outcome =
           ok ? util::RequestOutcome::kOk : util::RequestOutcome::kError;
-      record.score_nanos = static_cast<std::uint64_t>(timer.ElapsedNanos());
+      record.score_nanos = span.End();
       record.scored_pairs = result->entries_searched;
       record.end_nanos = util::TraceNowNanos();
       util::GlobalRequestLog().Append(record);

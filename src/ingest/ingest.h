@@ -165,9 +165,10 @@ bool DeltaVulnSearch(const core::AsteriaModel& model,
 //
 //   ALRT <8-hex CRC32 of the JSON bytes> <one-line JSON object>\n
 //
-// appended with a single O_APPEND write + fsync per run, so a crash can
-// only ever tear the final line; the reader detects a torn or corrupted
-// line by the CRC (or broken framing), skips it, and counts it in
+// — a CRC-line file (util/crc_lines.h, the request logs' codec) — appended
+// with a single O_APPEND write + fsync per run, so a crash can only ever
+// tear the final line; the reader detects a torn or corrupted line by the
+// CRC (or broken framing or field spelling), skips it, and counts it in
 // `corrupt_lines` instead of failing the whole log.
 
 struct AlertRecord {

@@ -12,7 +12,6 @@
 
 #include "util/metrics.h"
 #include "util/request_log.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace asteria::serve {
@@ -332,16 +331,6 @@ bool Client::Health(HealthInfo* info, std::string* error) {
   }
   std::uint64_t reply_id = 0;
   return GetHealthInfo(reply, &reply_id, info, error);
-}
-
-bool Client::Stats(StatsInfo* info, std::string* error) {
-  std::vector<std::uint8_t> reply;
-  if (!Control(FrameType::kStats, FrameType::kStatsInfo,
-               /*idempotent=*/true, "client.stats", &reply, error)) {
-    return false;
-  }
-  std::uint64_t reply_id = 0;
-  return GetStatsInfo(reply, &reply_id, info, error);
 }
 
 bool Client::Reload(std::string* error) {

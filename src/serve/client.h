@@ -82,10 +82,9 @@ class Client {
   bool AboveThreshold(const core::FunctionFeature& query, double threshold,
                       std::vector<core::SearchHit>* hits, std::string* error);
   bool Ping(std::string* error);
+  // kHealth probe: load, cumulative totals and latency percentiles (what
+  // `asteria-cli ctl health` and `ctl top` print).
   bool Health(HealthInfo* info, std::string* error);
-  // kStats probe: counters, latency percentiles, and the telemetry sampler's
-  // recent time series (`asteria-cli ctl top`).
-  bool Stats(StatsInfo* info, std::string* error);
   bool Reload(std::string* error);
   bool Shutdown(std::string* error);
 

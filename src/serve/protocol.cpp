@@ -380,6 +380,11 @@ void PutHealthInfo(std::uint64_t id, const HealthInfo& info,
   out->PutU64(info.answered);
   out->PutU64(info.shed);
   out->PutU64(info.deadline_exceeded);
+  out->PutU64(info.requests);
+  out->PutU64(info.cancelled);
+  out->PutU64(info.p50_nanos);
+  out->PutU64(info.p95_nanos);
+  out->PutU64(info.p99_nanos);
 }
 
 bool GetHealthInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
@@ -396,87 +401,17 @@ bool GetHealthInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
   if (!parser.GetU64(&info->uptime_ms, error) ||
       !parser.GetU64(&info->answered, error) ||
       !parser.GetU64(&info->shed, error) ||
-      !parser.GetU64(&info->deadline_exceeded, error)) {
+      !parser.GetU64(&info->deadline_exceeded, error) ||
+      !parser.GetU64(&info->requests, error) ||
+      !parser.GetU64(&info->cancelled, error) ||
+      !parser.GetU64(&info->p50_nanos, error) ||
+      !parser.GetU64(&info->p95_nanos, error) ||
+      !parser.GetU64(&info->p99_nanos, error)) {
     return false;
   }
   if (!parser.AtEnd()) {
     *error = std::to_string(parser.remaining()) +
              " trailing bytes after the health payload";
-    return false;
-  }
-  return true;
-}
-
-void PutStatsInfo(std::uint64_t id, const StatsInfo& info,
-                  store::ChunkBuilder* out) {
-  out->PutU64(id);
-  out->PutU64(info.uptime_ms);
-  out->PutU64(info.requests);
-  out->PutU64(info.replies);
-  out->PutU64(info.shed);
-  out->PutU64(info.cancelled);
-  out->PutU64(info.deadline_exceeded);
-  out->PutU64(info.queue_depth);
-  out->PutU64(info.connections);
-  out->PutU64(info.index_size);
-  out->PutU64(info.p50_nanos);
-  out->PutU64(info.p95_nanos);
-  out->PutU64(info.p99_nanos);
-  out->PutU32(static_cast<std::uint32_t>(info.samples.size()));
-  for (const StatsSample& sample : info.samples) {
-    out->PutU64(sample.age_ms);
-    out->PutU64(sample.requests);
-    out->PutU64(sample.replies);
-    out->PutU64(sample.shed);
-    out->PutU64(sample.deadline_exceeded);
-    out->PutU64(sample.queue_depth);
-  }
-}
-
-bool GetStatsInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
-                  StatsInfo* info, std::string* error) {
-  store::ChunkParser parser(payload);
-  std::uint32_t count = 0;
-  if (!parser.GetU64(id, error) || !parser.GetU64(&info->uptime_ms, error) ||
-      !parser.GetU64(&info->requests, error) ||
-      !parser.GetU64(&info->replies, error) ||
-      !parser.GetU64(&info->shed, error) ||
-      !parser.GetU64(&info->cancelled, error) ||
-      !parser.GetU64(&info->deadline_exceeded, error) ||
-      !parser.GetU64(&info->queue_depth, error) ||
-      !parser.GetU64(&info->connections, error) ||
-      !parser.GetU64(&info->index_size, error) ||
-      !parser.GetU64(&info->p50_nanos, error) ||
-      !parser.GetU64(&info->p95_nanos, error) ||
-      !parser.GetU64(&info->p99_nanos, error) ||
-      !parser.GetU32(&count, error)) {
-    return false;
-  }
-  // 48 bytes per sample; bound the declared count before allocating.
-  if (count > kMaxStatsSamples ||
-      static_cast<std::uint64_t>(count) * 48 > parser.remaining()) {
-    *error = "stats reply declares " + std::to_string(count) +
-             " samples but only " + std::to_string(parser.remaining()) +
-             " payload bytes remain";
-    return false;
-  }
-  info->samples.clear();
-  info->samples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    StatsSample sample;
-    if (!parser.GetU64(&sample.age_ms, error) ||
-        !parser.GetU64(&sample.requests, error) ||
-        !parser.GetU64(&sample.replies, error) ||
-        !parser.GetU64(&sample.shed, error) ||
-        !parser.GetU64(&sample.deadline_exceeded, error) ||
-        !parser.GetU64(&sample.queue_depth, error)) {
-      return false;
-    }
-    info->samples.push_back(sample);
-  }
-  if (!parser.AtEnd()) {
-    *error = std::to_string(parser.remaining()) +
-             " trailing bytes after the stats payload";
     return false;
   }
   return true;

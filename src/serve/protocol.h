@@ -67,9 +67,7 @@ enum class FrameType : std::uint32_t {
   kReload = 4,          // id — re-load the index snapshot and swap it in
   kShutdown = 5,        // id — stop the daemon after replying
   kCancel = 6,          // id of the pending query to cancel (best effort)
-  kHealth = 7,          // id — liveness + load probe
-  kStats = 8,           // id — telemetry probe: counters, percentiles,
-                        // and the sampler's recent time series
+  kHealth = 7,          // id — liveness + load + telemetry probe
   // Replies.
   kHits = 16,   // id, hit count, (index, name, score) per hit
   kPong = 17,   // id
@@ -82,58 +80,28 @@ enum class FrameType : std::uint32_t {
   kDeadlineExceeded = 21,  // budget expired before scoring; not retryable
   kShuttingDown = 22,      // daemon draining past --drain_timeout_ms;
                            // retryable against a replacement daemon
-  kHealthInfo = 23,  // id, index_size, queue_depth, connections, draining,
-                     // uptime_ms, answered/shed/deadline-exceeded totals
-  kStatsInfo = 24,   // id + StatsInfo (the `ctl top` payload)
+  kHealthInfo = 23,  // id + HealthInfo
 };
 
-// Payload of a kHealthInfo reply: a daemon's load at a glance. The
-// cumulative totals let `ctl health` probes compute rates from two probes
-// without a full kStats round trip.
+// Payload of a kHealthInfo reply: a daemon's load at a glance, and the
+// cumulative totals `asteria-cli ctl top` differences between two probes
+// into rates (the daemon keeps no time series of its own).
 struct HealthInfo {
   std::uint64_t index_size = 0;   // entries in the served snapshot
   std::uint64_t queue_depth = 0;  // requests waiting for a worker
   std::uint64_t connections = 0;  // live client connections
   bool draining = false;          // true once shutdown has begun
   std::uint64_t uptime_ms = 0;    // since Server::Start()
-  std::uint64_t answered = 0;     // replies sent (any frame type)
+  std::uint64_t answered = 0;     // query replies written (kHits)
   std::uint64_t shed = 0;         // admission-control rejections
   std::uint64_t deadline_exceeded = 0;  // dropped-at-dequeue queries
-};
-
-// One telemetry sampler tick: cumulative totals as of `age_ms` before the
-// reply was built. `ctl top` differences adjacent samples into rates.
-struct StatsSample {
-  std::uint64_t age_ms = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t queue_depth = 0;
-};
-
-// Upper bound on samples in one kStatsInfo reply (the server's ring is
-// smaller; the cap bounds a hostile reply's allocation).
-inline constexpr std::uint32_t kMaxStatsSamples = 1024;
-
-// Payload of a kStatsInfo reply: the live-telemetry view behind
-// `asteria-cli ctl top`.
-struct StatsInfo {
-  std::uint64_t uptime_ms = 0;
-  std::uint64_t requests = 0;   // queries admitted (kTopK/kAboveThreshold)
-  std::uint64_t replies = 0;    // reply frames written
-  std::uint64_t shed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t connections = 0;
-  std::uint64_t index_size = 0;
+  std::uint64_t requests = 0;     // queries admitted (kTopK/kAboveThreshold)
+  std::uint64_t cancelled = 0;    // queued queries skipped (client gone)
   // serve.request_nanos percentile estimates (util::HistogramValue), in
   // nanoseconds, rounded.
   std::uint64_t p50_nanos = 0;
   std::uint64_t p95_nanos = 0;
   std::uint64_t p99_nanos = 0;
-  std::vector<StatsSample> samples;  // oldest first
 };
 
 // Outcome of reading one frame from a file descriptor.
@@ -203,18 +171,11 @@ void PutError(std::uint64_t id, const std::string& message,
 bool GetError(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
               std::string* message, std::string* error);
 
-// kHealthInfo payload: id + the HealthInfo fields, nothing after them.
+// kHealthInfo payload: id + the HealthInfo fields in declaration order,
+// nothing after them.
 void PutHealthInfo(std::uint64_t id, const HealthInfo& info,
                    store::ChunkBuilder* out);
 bool GetHealthInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
                    HealthInfo* info, std::string* error);
-
-// kStatsInfo payload: id + the StatsInfo fields + the sample series. The
-// parser bounds the declared sample count against the remaining payload
-// bytes (and kMaxStatsSamples) before allocating.
-void PutStatsInfo(std::uint64_t id, const StatsInfo& info,
-                  store::ChunkBuilder* out);
-bool GetStatsInfo(const std::vector<std::uint8_t>& payload, std::uint64_t* id,
-                  StatsInfo* info, std::string* error);
 
 }  // namespace asteria::serve

@@ -260,13 +260,6 @@ bool Server::Start(std::string* error) {
   for (int w = 0; w < workers; ++w) {
     workers_.emplace_back(&Server::WorkerLoop, this);
   }
-  // Telemetry sampler: seed the ring with a t=0 baseline so `ctl top` has a
-  // reference sample immediately, then tick on the configured cadence.
-  telemetry_ring_.reserve(kTelemetryRingSlots);
-  TakeSample();
-  if (config_.telemetry_interval_ms > 0) {
-    telemetry_thread_ = std::thread(&Server::TelemetryLoop, this);
-  }
   started_.store(true, std::memory_order_release);
   ASTERIA_LOG(Info) << "asteria-serve: " << snapshot()->size()
                     << " entries from " << config_.index_path << ", "
@@ -407,61 +400,6 @@ std::uint64_t Server::UptimeMs() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count());
 }
 
-void Server::TakeSample() {
-  RawSample sample;
-  sample.at = std::chrono::steady_clock::now();
-  sample.totals.requests = c_requests.Value();
-  sample.totals.replies = c_replies.Value();
-  sample.totals.shed = c_shed.Value();
-  sample.totals.deadline_exceeded = c_deadline_exceeded.Value();
-  sample.totals.queue_depth = queue_ ? queue_->size() : 0;
-  std::lock_guard<std::mutex> lock(telemetry_mu_);
-  if (telemetry_ring_.size() < kTelemetryRingSlots) {
-    telemetry_ring_.push_back(sample);
-  } else {
-    telemetry_ring_[telemetry_next_ % kTelemetryRingSlots] = sample;
-  }
-  ++telemetry_next_;
-}
-
-void Server::TelemetryLoop() {
-  const auto interval = std::chrono::milliseconds(
-      config_.telemetry_interval_ms < 1 ? 1 : config_.telemetry_interval_ms);
-  std::unique_lock<std::mutex> lock(telemetry_mu_);
-  while (!telemetry_stop_) {
-    if (telemetry_cv_.wait_for(lock, interval,
-                               [this] { return telemetry_stop_; })) {
-      break;
-    }
-    lock.unlock();
-    TakeSample();
-    lock.lock();
-  }
-}
-
-std::vector<StatsSample> Server::SampleRing(
-    std::chrono::steady_clock::time_point now) {
-  std::vector<StatsSample> out;
-  std::lock_guard<std::mutex> lock(telemetry_mu_);
-  const std::size_t size = telemetry_ring_.size();
-  out.reserve(size);
-  const std::size_t start =
-      size < kTelemetryRingSlots ? 0 : telemetry_next_ % kTelemetryRingSlots;
-  for (std::size_t i = 0; i < size; ++i) {
-    const RawSample& raw = telemetry_ring_[(start + i) % size];
-    StatsSample sample = raw.totals;
-    sample.age_ms =
-        raw.at <= now
-            ? static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::milliseconds>(
-                      now - raw.at)
-                      .count())
-            : 0;
-    out.push_back(sample);
-  }
-  return out;
-}
-
 void Server::Run() {
   AcceptLoop();
   // Teardown, in dependency order: stop accepting (done), wake blocked
@@ -507,12 +445,6 @@ void Server::Run() {
     worker.join();
   }
   workers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(telemetry_mu_);
-    telemetry_stop_ = true;
-  }
-  telemetry_cv_.notify_all();
-  if (telemetry_thread_.joinable()) telemetry_thread_.join();
   h_drain_nanos.Observe(static_cast<std::uint64_t>(drain_timer.ElapsedNanos()));
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -766,42 +698,17 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       info.answered = c_replies.Value();
       info.shed = c_shed.Value();
       info.deadline_exceeded = c_deadline_exceeded.Value();
+      info.requests = c_requests.Value();
+      info.cancelled = c_cancelled.Value();
+      const util::HistogramValue latency = h_request_nanos.SnapshotValue();
+      info.p50_nanos = static_cast<std::uint64_t>(latency.p50 + 0.5);
+      info.p95_nanos = static_cast<std::uint64_t>(latency.p95 + 0.5);
+      info.p99_nanos = static_cast<std::uint64_t>(latency.p99 + 0.5);
       store::ChunkBuilder reply;
       PutHealthInfo(id, info, &reply);
       util::Timer reply_timer;
       conn->SendFrame(FrameType::kHealthInfo, reply, trace_id);
       CutControlRecord(trace_id, "serve.health", util::RequestOutcome::kOk,
-                       static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
-      return true;
-    }
-    case FrameType::kStats: {
-      if (!GetControl(payload, &id, &error)) {
-        conn->SendError(0, error, trace_id);
-        CutControlRecord(trace_id, "serve.stats",
-                         util::RequestOutcome::kError, 0);
-        return true;
-      }
-      c_control.Increment();
-      StatsInfo info;
-      info.uptime_ms = UptimeMs();
-      info.requests = c_requests.Value();
-      info.replies = c_replies.Value();
-      info.shed = c_shed.Value();
-      info.cancelled = c_cancelled.Value();
-      info.deadline_exceeded = c_deadline_exceeded.Value();
-      info.queue_depth = queue_->size();
-      info.connections = LiveConnections();
-      info.index_size = snapshot()->size();
-      const util::HistogramValue latency = h_request_nanos.SnapshotValue();
-      info.p50_nanos = static_cast<std::uint64_t>(latency.p50 + 0.5);
-      info.p95_nanos = static_cast<std::uint64_t>(latency.p95 + 0.5);
-      info.p99_nanos = static_cast<std::uint64_t>(latency.p99 + 0.5);
-      info.samples = SampleRing(std::chrono::steady_clock::now());
-      store::ChunkBuilder reply;
-      PutStatsInfo(id, info, &reply);
-      util::Timer reply_timer;
-      conn->SendFrame(FrameType::kStatsInfo, reply, trace_id);
-      CutControlRecord(trace_id, "serve.stats", util::RequestOutcome::kOk,
                        static_cast<std::uint64_t>(reply_timer.ElapsedNanos()));
       return true;
     }
@@ -836,7 +743,6 @@ void Server::WorkerLoop() {
 }
 
 void Server::DispatchBatch(std::vector<Request>* batch) {
-  util::Timer timer;
   h_batch_requests.Observe(batch->size());
   if (fp_stall_worker.ShouldFail()) {
     // Chaos hook: hold the batch so tests can deterministically disconnect,
@@ -971,11 +877,10 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
       if (req.replied) c_replies.Increment();
     }
   }
-  const std::uint64_t elapsed =
-      static_cast<std::uint64_t>(timer.ElapsedNanos());
-  // One wide event per answered query, and the slow-query spill: answered
-  // records whose attributed latency crosses --slow_query_ms go to
-  // slow_log_path in one O_APPEND write for the whole batch.
+  // One wide event per answered query, its attributed latency observed in
+  // serve.request_nanos, and the slow-query spill: answered records whose
+  // latency crosses --slow_query_ms go to slow_log_path in one O_APPEND
+  // write for the whole batch.
   std::vector<util::RequestRecord> slow;
   const auto record_now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < live.size(); ++i) {
@@ -1008,9 +913,10 @@ void Server::DispatchBatch(std::vector<Request>* batch) {
     record.SetName(req.query.name);
     record.end_nanos = util::TraceNowNanos();
     util::GlobalRequestLog().Append(record);
-    h_request_nanos.Observe(elapsed);
+    const std::uint64_t latency = record.TotalNanos();
+    h_request_nanos.Observe(latency);
     if (config_.slow_query_ms >= 0 && !config_.slow_log_path.empty() &&
-        record.TotalNanos() >=
+        latency >=
             static_cast<std::uint64_t>(config_.slow_query_ms) * 1000000) {
       slow.push_back(record);
     }

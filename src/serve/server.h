@@ -48,7 +48,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -93,11 +92,6 @@ struct ServerConfig {
   // negative disables the capture entirely.
   int slow_query_ms = -1;
   std::string slow_log_path;  // where slow queries spill (required if armed)
-  // Telemetry sampler cadence: every interval the sampler thread snapshots
-  // the cumulative serve counters + queue depth into a fixed ring that a
-  // kStats probe returns (`asteria-cli ctl top`). 0 disables the thread
-  // (kStats still answers, with an empty time series).
-  int telemetry_interval_ms = 500;
 };
 
 class Server {
@@ -145,13 +139,6 @@ class Server {
                    const std::vector<std::uint8_t>& payload,
                    std::uint64_t deadline_ms, std::uint64_t trace_id);
   std::size_t LiveConnections();
-  // Telemetry sampler (kStats / `ctl top`). TakeSample appends one tick to
-  // the ring; TelemetryLoop runs it every telemetry_interval_ms until
-  // shutdown. SampleRing copies the ring oldest-first, stamping each
-  // sample's age relative to `now`.
-  void TakeSample();
-  void TelemetryLoop();
-  std::vector<StatsSample> SampleRing(std::chrono::steady_clock::time_point now);
   std::uint64_t UptimeMs() const;
 
   const core::AsteriaModel& model_;
@@ -187,22 +174,7 @@ class Server {
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> readers_;
 
-  // Telemetry sampler state. One raw tick: the wall position (steady clock)
-  // plus the cumulative totals at that instant; kStatsInfo converts the
-  // position into age_ms at reply time so the wire carries no absolute
-  // clocks.
-  struct RawSample {
-    std::chrono::steady_clock::time_point at{};
-    StatsSample totals;  // age_ms unused here (stamped on copy-out)
-  };
-  static constexpr std::size_t kTelemetryRingSlots = 64;
-  std::chrono::steady_clock::time_point start_time_{};
-  std::mutex telemetry_mu_;
-  std::condition_variable telemetry_cv_;
-  bool telemetry_stop_ = false;           // guarded by telemetry_mu_
-  std::vector<RawSample> telemetry_ring_; // guarded by telemetry_mu_
-  std::size_t telemetry_next_ = 0;        // ring write cursor (monotonic)
-  std::thread telemetry_thread_;
+  std::chrono::steady_clock::time_point start_time_{};  // for UptimeMs()
 };
 
 }  // namespace asteria::serve

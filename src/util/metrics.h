@@ -132,8 +132,8 @@ class Histogram {
 
   // Merged view across all stripes (count/sum/min/max/buckets plus the
   // p50/p95/p99 estimates) — the same value SnapshotMetrics() builds, but
-  // available per-histogram so e.g. the serve daemon can answer a kStats
-  // frame without snapshotting the whole registry.
+  // available per-histogram so e.g. the serve daemon can answer a kHealth
+  // probe without snapshotting the whole registry.
   HistogramValue SnapshotValue() const;
 
   const char* name() const { return name_; }

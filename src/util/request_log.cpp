@@ -1,14 +1,11 @@
 #include "util/request_log.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include "util/crc32.h"
+#include "util/crc_lines.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -150,32 +147,11 @@ std::uint64_t MintTraceId() {
   return x == 0 ? 1 : x;
 }
 
-// -- CRC-line framing -------------------------------------------------------
+// -- CRC-line framing (util/crc_lines.h) -----------------------------------
 
 namespace {
 
-// Same minimal JSON string codec as the alert log (src/ingest/ingest.cpp):
-// the writer controls the schema, so only quote, backslash, and control
-// bytes need escaping.
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
+constexpr const char* kRecordTag = "SLOW";
 
 std::string RecordJson(const RequestRecord& record) {
   char trace[24];
@@ -202,234 +178,70 @@ std::string RecordJson(const RequestRecord& record) {
   return json;
 }
 
-bool ParseJsonString(const std::string& text, std::size_t* pos,
-                     std::string* out) {
-  if (*pos >= text.size() || text[*pos] != '"') return false;
-  ++*pos;
-  out->clear();
-  while (*pos < text.size()) {
-    const char c = text[*pos];
-    if (c == '"') {
-      ++*pos;
-      return true;
-    }
-    if (c == '\\') {
-      if (*pos + 1 >= text.size()) return false;
-      const char esc = text[*pos + 1];
-      if (esc == '"' || esc == '\\') {
-        out->push_back(esc);
-        *pos += 2;
-        continue;
-      }
-      if (esc == 'u') {
-        if (*pos + 5 >= text.size()) return false;
-        unsigned value = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = text[*pos + 2 + static_cast<std::size_t>(i)];
-          value <<= 4;
-          if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-          else return false;
-        }
-        if (value > 0xff) return false;  // the writer only emits \u00XX
-        out->push_back(static_cast<char>(value));
-        *pos += 6;
-        continue;
-      }
-      return false;
-    }
-    out->push_back(c);
-    ++*pos;
-  }
-  return false;
-}
-
-bool ExpectToken(const std::string& text, std::size_t* pos,
-                 const std::string& token) {
-  if (text.compare(*pos, token.size(), token) != 0) return false;
-  *pos += token.size();
-  return true;
-}
-
-bool ParseU64(const std::string& text, std::size_t* pos, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(text.c_str() + *pos, &end, 10);
-  if (errno != 0 || end == text.c_str() + *pos) return false;
-  *pos = static_cast<std::size_t>(end - text.c_str());
-  return true;
-}
-
-bool ParseI64(const std::string& text, std::size_t* pos, std::int64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoll(text.c_str() + *pos, &end, 10);
-  if (errno != 0 || end == text.c_str() + *pos) return false;
-  *pos = static_cast<std::size_t>(end - text.c_str());
-  return true;
-}
-
 bool ParseRecordJson(const std::string& json, ParsedRequestRecord* record) {
-  std::size_t pos = 0;
-  std::string trace;
-  if (!ExpectToken(json, &pos, "{\"trace\":") ||
-      !ParseJsonString(json, &pos, &trace) || trace.size() != 16) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  record->trace_id = std::strtoull(trace.c_str(), &end, 16);
-  if (errno != 0 || end != trace.c_str() + 16) return false;
+  JsonCursor in(json);
   std::uint64_t deadline = 0;
-  if (!ExpectToken(json, &pos, ",\"op\":") ||
-      !ParseJsonString(json, &pos, &record->op) ||
-      !ExpectToken(json, &pos, ",\"outcome\":") ||
-      !ParseJsonString(json, &pos, &record->outcome) ||
-      !ExpectToken(json, &pos, ",\"name\":") ||
-      !ParseJsonString(json, &pos, &record->name) ||
-      !ExpectToken(json, &pos, ",\"batch\":") ||
-      !ParseU64(json, &pos, &record->batch_size) ||
-      !ExpectToken(json, &pos, ",\"queue_wait_nanos\":") ||
-      !ParseU64(json, &pos, &record->queue_wait_nanos) ||
-      !ExpectToken(json, &pos, ",\"encode_nanos\":") ||
-      !ParseU64(json, &pos, &record->encode_nanos) ||
-      !ExpectToken(json, &pos, ",\"score_nanos\":") ||
-      !ParseU64(json, &pos, &record->score_nanos) ||
-      !ExpectToken(json, &pos, ",\"reply_nanos\":") ||
-      !ParseU64(json, &pos, &record->reply_nanos) ||
-      !ExpectToken(json, &pos, ",\"scored_pairs\":") ||
-      !ParseU64(json, &pos, &record->scored_pairs) ||
-      !ExpectToken(json, &pos, ",\"pruned_pairs\":") ||
-      !ParseU64(json, &pos, &record->pruned_pairs) ||
-      !ExpectToken(json, &pos, ",\"deadline\":") ||
-      !ParseU64(json, &pos, &deadline) || deadline > 1 ||
-      !ExpectToken(json, &pos, ",\"slack_nanos\":") ||
-      !ParseI64(json, &pos, &record->deadline_slack_nanos)) {
+  if (!in.Expect("{\"trace\":") || !in.HexString(16, &record->trace_id) ||
+      !in.Expect(",\"op\":") || !in.String(&record->op) ||
+      !in.Expect(",\"outcome\":") || !in.String(&record->outcome) ||
+      !in.Expect(",\"name\":") || !in.String(&record->name) ||
+      !in.Expect(",\"batch\":") || !in.Unsigned(&record->batch_size) ||
+      !in.Expect(",\"queue_wait_nanos\":") ||
+      !in.Unsigned(&record->queue_wait_nanos) ||
+      !in.Expect(",\"encode_nanos\":") || !in.Unsigned(&record->encode_nanos) ||
+      !in.Expect(",\"score_nanos\":") || !in.Unsigned(&record->score_nanos) ||
+      !in.Expect(",\"reply_nanos\":") || !in.Unsigned(&record->reply_nanos) ||
+      !in.Expect(",\"scored_pairs\":") || !in.Unsigned(&record->scored_pairs) ||
+      !in.Expect(",\"pruned_pairs\":") || !in.Unsigned(&record->pruned_pairs) ||
+      !in.Expect(",\"deadline\":") || !in.Unsigned(&deadline) || deadline > 1 ||
+      !in.Expect(",\"slack_nanos\":") ||
+      !in.Signed(&record->deadline_slack_nanos) || !in.Expect("}")) {
     return false;
   }
   record->has_deadline = deadline == 1;
-  return ExpectToken(json, &pos, "}") && pos == json.size();
+  return in.Done();
 }
 
-bool WriteBuffer(const std::string& path, const std::string& buffer,
-                 int open_flags, std::string* error) {
-  const int fd = ::open(path.c_str(), open_flags | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    *error = path + ": open failed: " + std::strerror(errno);
-    return false;
+std::string RecordLines(const std::vector<RequestRecord>& records) {
+  std::string lines;
+  for (const RequestRecord& record : records) {
+    lines += RequestRecordLine(record);
   }
-  std::size_t done = 0;
-  while (done < buffer.size()) {
-    const ssize_t n = ::write(fd, buffer.data() + done, buffer.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = path + ": write failed: " + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    *error = path + ": fsync failed: " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  ::close(fd);
-  return true;
+  return lines;
 }
 
 }  // namespace
 
 std::string RequestRecordLine(const RequestRecord& record) {
-  const std::string json = RecordJson(record);
-  const std::uint32_t crc = Crc32(json.data(), json.size());
-  char head[16];
-  std::snprintf(head, sizeof(head), "SLOW %08x ", crc);
-  return head + json + "\n";
+  return CrcLine(kRecordTag, RecordJson(record));
 }
 
 bool AppendRequestRecords(const std::string& path,
                           const std::vector<RequestRecord>& records,
                           std::string* error) {
   if (records.empty()) return true;
-  std::string buffer;
-  for (const RequestRecord& record : records) {
-    buffer += RequestRecordLine(record);
-  }
-  // One O_APPEND write for the whole batch: concurrent appenders never
-  // interleave bytes, and a crash tears at most the final line — which the
-  // reader's per-line CRC catches.
-  return WriteBuffer(path, buffer, O_WRONLY | O_APPEND | O_CREAT, error);
+  return WriteCrcLines(path, RecordLines(records), /*append=*/true, error);
 }
 
 bool WriteRequestLogFile(const std::string& path,
                          const std::vector<RequestRecord>& records,
                          std::string* error) {
-  std::string buffer;
-  for (const RequestRecord& record : records) {
-    buffer += RequestRecordLine(record);
-  }
-  return WriteBuffer(path, buffer, O_WRONLY | O_TRUNC | O_CREAT, error);
+  return WriteCrcLines(path, RecordLines(records), /*append=*/false, error);
 }
 
 bool ReadRequestLogFile(const std::string& path,
                         std::vector<ParsedRequestRecord>* records,
                         int* corrupt_lines, std::string* error) {
   records->clear();
-  if (corrupt_lines != nullptr) *corrupt_lines = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = path + ": open failed: " + std::strerror(errno);
-    return false;
-  }
-  std::string contents;
-  char buffer[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    contents.append(buffer, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    *error = path + ": read failed";
-    return false;
-  }
-  std::size_t start = 0;
-  while (start < contents.size()) {
-    std::size_t newline = contents.find('\n', start);
-    // A final line with no terminating newline is a torn tail by definition
-    // (the writer always ends lines), so it lands in the corrupt count.
-    const bool terminated = newline != std::string::npos;
-    if (!terminated) newline = contents.size();
-    const std::string line = contents.substr(start, newline - start);
-    start = newline + 1;
-    if (line.empty()) continue;
-    bool good = false;
-    ParsedRequestRecord record;
-    // "SLOW " + 8 hex + " " + json, CRC over the json bytes.
-    if (terminated && line.size() > 14 && line.compare(0, 5, "SLOW ") == 0 &&
-        line[13] == ' ') {
-      char* end = nullptr;
-      errno = 0;
-      const std::string hex = line.substr(5, 8);
-      const unsigned long declared = std::strtoul(hex.c_str(), &end, 16);
-      if (errno == 0 && end == hex.c_str() + 8) {
-        const std::string json = line.substr(14);
-        const std::uint32_t actual = Crc32(json.data(), json.size());
-        if (actual == static_cast<std::uint32_t>(declared) &&
-            ParseRecordJson(json, &record)) {
-          good = true;
-        }
-      }
-    }
-    if (good) {
-      records->push_back(std::move(record));
-    } else if (corrupt_lines != nullptr) {
-      ++*corrupt_lines;
-    }
-  }
-  return true;
+  return ReadCrcLines(
+      path, kRecordTag, /*missing_ok=*/false,
+      [records](const std::string& json) {
+        ParsedRequestRecord record;
+        if (!ParseRecordJson(json, &record)) return false;
+        records->push_back(std::move(record));
+        return true;
+      },
+      corrupt_lines, error);
 }
 
 }  // namespace asteria::util

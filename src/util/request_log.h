@@ -23,9 +23,9 @@
 // EXCLUDES request records: they are wall-clock shaped and never diffed by
 // the check_*.sh gates.
 //
-// The CRC-line framing ("SLOW <crc32 hex> <json>\n") reuses the
-// alerts.jsonl conventions (docs/FORMATS.md): append-only, one
-// self-checking line per record, corrupt lines skipped and counted.
+// Record files are CRC-line files tagged SLOW, written and read by the
+// codec alerts.jsonl uses (util/crc_lines.h, docs/FORMATS.md): append-only,
+// one self-checking line per record, corrupt lines skipped and counted.
 #pragma once
 
 #include <atomic>
@@ -175,8 +175,9 @@ bool WriteRequestLogFile(const std::string& path,
                          std::string* error);
 
 // Reads a record log. Unterminated, CRC-mismatched, or unparseable lines
-// are counted in `corrupt_lines` (may be null), never fatal; only a missing
-// or unreadable file returns false.
+// (including any field spelled other than the writer spells it) are
+// counted in `corrupt_lines` (may be null), never fatal; only a missing or
+// unreadable file returns false.
 bool ReadRequestLogFile(const std::string& path,
                         std::vector<ParsedRequestRecord>* records,
                         int* corrupt_lines, std::string* error);

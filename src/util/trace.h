@@ -8,7 +8,8 @@
 //   }
 //
 // Each span records one (count, elapsed-nanos) sample under its stage name
-// when it goes out of scope. Samples land in a thread-local profile — no
+// when it goes out of scope, or when End() hands the elapsed time back to
+// a caller that records it elsewhere too. Samples land in a thread-local profile — no
 // lock, no shared cache line on the hot path; profiles register themselves
 // once per thread and are merged (summed per stage, in name order) by
 // SnapshotSpans(), so the merged result is independent of which thread ran
@@ -61,20 +62,34 @@ StageProfile& ThreadStageProfile();
 // are durations; don't mix with raw steady_clock arithmetic.
 std::int64_t TraceNowNanos();
 
-// Records elapsed wall time under `stage` (a string literal) on scope exit.
+// Records elapsed wall time under `stage` (a string literal) on scope exit,
+// or earlier at End().
 class TraceSpan {
  public:
   explicit TraceSpan(const char* stage)
       : stage_(stage), start_nanos_(TraceNowNanos()) {}
   ~TraceSpan() {
-    internal::ThreadStageProfile().Record(
-        stage_, static_cast<std::uint64_t>(TraceNowNanos() - start_nanos_));
+    if (stage_ != nullptr) End();
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  // Records the sample now and returns its elapsed nanoseconds, so a
+  // caller that also needs the number (a histogram, a request record)
+  // reads the span's clock instead of running a second one. The first
+  // call records; the destructor and any later call record nothing.
+  std::uint64_t End() {
+    const auto elapsed =
+        static_cast<std::uint64_t>(TraceNowNanos() - start_nanos_);
+    if (stage_ != nullptr) {
+      internal::ThreadStageProfile().Record(stage_, elapsed);
+      stage_ = nullptr;
+    }
+    return elapsed;
+  }
+
  private:
-  const char* stage_;
+  const char* stage_;  // null once the sample is recorded
   std::int64_t start_nanos_;
 };
 

@@ -45,7 +45,9 @@
 #include "ingest/ingest.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "crc_line_cases.h"
 #include "store/manifest.h"
+#include "util/crc_lines.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 
@@ -708,6 +710,45 @@ TEST_F(IngestTest, AlertLogSkipsTornAndCorruptLinesWithoutFailing) {
     ASSERT_TRUE(out.good());
     out << "ALRT deadbeef {\"seq\":9,\"cve\":\"x\",\"software\":\"y\","
            "\"function\":\"z\",\"hit\":\"w\",\"score\":1}\n";
+  }
+  // Framed with their true CRC, but spelled other than the writer spells
+  // them: strtoul/strtoull/strtod-style parsing would have accepted every
+  // one.
+  std::string good_line;
+  {
+    std::ifstream in(ingest::AlertLogPath(dir), std::ios::binary);
+    ASSERT_TRUE(std::getline(in, good_line));
+  }
+  const std::string good_json = good_line.substr(14);
+  const auto respelled = [&](const std::string& from, const std::string& to) {
+    std::string json = good_json;
+    json.replace(json.find(from), from.size(), to);
+    return util::CrcLine("ALRT", json);
+  };
+  std::vector<std::string> misspelled = {
+      respelled("\"seq\":1", "\"seq\":-1"),
+      respelled("\"seq\":1", "\"seq\":+1"),
+      respelled("\"seq\":1", "\"seq\": 1"),
+      respelled("\"score\":0.5", "\"score\": 0.5"),
+      respelled("\"score\":0.5", "\"score\":+0.5"),
+      respelled("\"score\":0.5", "\"score\":0x1p-1"),
+      respelled("\"score\":0.5", "\"score\":inf"),
+      respelled("\"score\":0.5", "\"score\":nan"),
+      util::CrcLine("SLOW", good_json),  // the request log's tag
+  };
+  for (const std::string& line :
+       MisspelledCrcLines("ALRT", [](int i) {
+         return "{\"seq\":" + std::to_string(i) +
+                ",\"cve\":\"x\",\"software\":\"y\",\"function\":\"z\","
+                "\"hit\":\"w\",\"score\":1}";
+       })) {
+    misspelled.push_back(line);
+  }
+  {
+    std::ofstream out(ingest::AlertLogPath(dir),
+                      std::ios::binary | std::ios::app);
+    ASSERT_TRUE(out.good());
+    for (const std::string& line : misspelled) out << line;
     out << "ALRT 00000000 {\"seq\":9,\"cve\":\"tor";  // no newline: torn
   }
   std::vector<ingest::AlertRecord> read;
@@ -715,7 +756,7 @@ TEST_F(IngestTest, AlertLogSkipsTornAndCorruptLinesWithoutFailing) {
   ASSERT_TRUE(ingest::ReadAlertLog(dir, &read, &corrupt, &error)) << error;
   ASSERT_EQ(read.size(), 1u);
   EXPECT_EQ(read[0].cve, good.cve);
-  EXPECT_EQ(corrupt, 2);
+  EXPECT_EQ(corrupt, 2 + static_cast<int>(misspelled.size()));
 }
 
 TEST_F(IngestTest, DeltaVulnSearchAppendsAlertsAtLeastOnceAcrossCrashes) {

@@ -4,6 +4,7 @@
 // JSON shape, pipeline-report publication, and failpoint trip counters.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -176,6 +177,23 @@ TEST_F(MetricsTest, SpanNestingChargesBothStages) {
   EXPECT_EQ(inner->count, 2u);
   // The outer span covers the inner spans' lifetime.
   EXPECT_GE(outer->total_nanos, inner->total_nanos / 2);
+}
+
+TEST_F(MetricsTest, SpanEndRecordsOnceAndReturnsTheRecordedNanos) {
+  std::uint64_t ended = 0;
+  {
+    TraceSpan span("ended-stage");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ended = span.End();
+    // Neither a second End() nor the destructor records again.
+    EXPECT_GE(span.End(), ended);
+  }
+  const MetricsSnapshot snapshot = SnapshotMetrics();
+  const StageTiming* span = FindSpan(snapshot, "ended-stage");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 1u);
+  EXPECT_EQ(span->total_nanos, ended);
+  EXPECT_GT(ended, 0u);
 }
 
 TEST_F(MetricsTest, SpanCountsMergeAcrossThreads) {

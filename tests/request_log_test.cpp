@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "crc_line_cases.h"
+#include "util/crc_lines.h"
 #include "util/request_log.h"
 
 namespace asteria::util {
@@ -204,6 +206,33 @@ TEST_F(RequestLogTest, CorruptLinesAreCountedNotFatal) {
   out << flipped;
   out << good;
   out << "SLOW zzzzzzzz {\"trace\":\"0\"}\n";  // unparseable CRC hex
+  // Framed with their true CRC, but spelled other than the writer spells
+  // them: strtoul/strtoull-style parsing would have accepted every one.
+  const std::string good_json = good.substr(14, good.size() - 15);
+  const auto respelled = [&](const std::string& from, const std::string& to) {
+    std::string json = good_json;
+    json.replace(json.find(from), from.size(), to);
+    return CrcLine("SLOW", json);
+  };
+  std::vector<std::string> misspelled = {
+      respelled("\"trace\":\"0000000000001009\"",
+                "\"trace\":\"0x00000000001009\""),
+      respelled("\"batch\":3", "\"batch\":-1"),
+      respelled("\"batch\":3", "\"batch\":+3"),
+      respelled("\"batch\":3", "\"batch\": 3"),
+      respelled("\"slack_nanos\":0", "\"slack_nanos\":+0"),
+      respelled("\"slack_nanos\":0", "\"slack_nanos\": -5"),
+      CrcLine("ALRT", good_json),  // the alert log's tag
+  };
+  for (const std::string& line :
+       MisspelledCrcLines("SLOW", [](int i) {
+         const std::string line =
+             RequestRecordLine(MakeRecord(static_cast<std::uint64_t>(i)));
+         return line.substr(14, line.size() - 15);
+       })) {
+    misspelled.push_back(line);
+  }
+  for (const std::string& line : misspelled) out << line;
   out << good.substr(0, good.size() / 2);      // torn tail, no newline
   out.close();
 
@@ -212,7 +241,7 @@ TEST_F(RequestLogTest, CorruptLinesAreCountedNotFatal) {
   std::string error;
   ASSERT_TRUE(ReadRequestLogFile(path, &parsed, &corrupt, &error)) << error;
   ASSERT_EQ(parsed.size(), 2u);  // the two intact lines
-  EXPECT_EQ(corrupt, 4);
+  EXPECT_EQ(corrupt, 4 + static_cast<int>(misspelled.size()));
   for (const ParsedRequestRecord& record : parsed) {
     EXPECT_EQ(record.trace_id, 0x1009u);
     EXPECT_EQ(record.name, "fn9");

@@ -44,10 +44,11 @@
 //                                              uptime, answered/shed/deadline
 //                                              totals, and whether it is
 //                                              draining; `top` prints the
-//                                              live-telemetry view (QPS,
-//                                              shed/deadline rates from the
-//                                              sampler ring, p50/p95/p99
-//                                              latency) — with --repeat=N it
+//                                              live-telemetry view (QPS and
+//                                              shed/deadline rates over
+//                                              500 ms between two health
+//                                              probes, p50/p95/p99 latency)
+//                                              — with --repeat=N it
 //                                              refreshes N times
 //   asteria-cli fw-gen <out_dir> <count> [seed]
 //                                              pack synthetic firmware images
@@ -762,55 +763,53 @@ int CmdCtl(int argc, char** argv) {
         static_cast<unsigned long long>(info.deadline_exceeded));
     return 0;
   } else if (action == "top" || action == "stats") {
-    // Live telemetry view: one kStats round trip per refresh; rates come
-    // from differencing the two newest sampler ticks, so they reflect the
-    // daemon's own cadence, not this client's.
+    // Live telemetry view: each refresh takes a health probe 500 ms after
+    // the previous one and differences the two probes' cumulative totals
+    // over the daemon's own uptime clock.
+    serve::HealthInfo older;
+    if (!client.Health(&older, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
     for (long iter = 0; iter < g_repeat; ++iter) {
-      if (iter > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
-      }
-      serve::StatsInfo info;
-      if (!client.Stats(&info, &error)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+      serve::HealthInfo info;
+      if (!client.Health(&info, &error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return 1;
       }
-      double qps = 0.0, shed_per_s = 0.0, deadline_per_s = 0.0;
-      if (info.samples.size() >= 2) {
-        const serve::StatsSample& older =
-            info.samples[info.samples.size() - 2];
-        const serve::StatsSample& newer = info.samples.back();
-        const double dt = (static_cast<double>(older.age_ms) -
-                           static_cast<double>(newer.age_ms)) /
-                          1000.0;
-        if (dt > 0) {
-          qps = static_cast<double>(newer.replies - older.replies) / dt;
-          shed_per_s = static_cast<double>(newer.shed - older.shed) / dt;
-          deadline_per_s = static_cast<double>(newer.deadline_exceeded -
-                                               older.deadline_exceeded) /
-                           dt;
-        }
-      }
+      const double dt = (static_cast<double>(info.uptime_ms) -
+                         static_cast<double>(older.uptime_ms)) /
+                        1000.0;
+      // A daemon restarted between the probes resets its totals: no rate.
+      const auto rate = [dt](std::uint64_t newer, std::uint64_t before) {
+        return dt > 0 && newer >= before
+                   ? static_cast<double>(newer - before) / dt
+                   : 0.0;
+      };
       std::printf(
           "top: uptime_ms=%llu index_size=%llu connections=%llu "
           "queue_depth=%llu\n"
           "     requests=%llu replies=%llu shed=%llu cancelled=%llu "
           "deadline_exceeded=%llu\n"
-          "     p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f samples=%zu\n"
+          "     p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f\n"
           "     qps=%.1f shed_per_s=%.1f deadline_per_s=%.1f\n",
           static_cast<unsigned long long>(info.uptime_ms),
           static_cast<unsigned long long>(info.index_size),
           static_cast<unsigned long long>(info.connections),
           static_cast<unsigned long long>(info.queue_depth),
           static_cast<unsigned long long>(info.requests),
-          static_cast<unsigned long long>(info.replies),
+          static_cast<unsigned long long>(info.answered),
           static_cast<unsigned long long>(info.shed),
           static_cast<unsigned long long>(info.cancelled),
           static_cast<unsigned long long>(info.deadline_exceeded),
           static_cast<double>(info.p50_nanos) / 1e6,
           static_cast<double>(info.p95_nanos) / 1e6,
-          static_cast<double>(info.p99_nanos) / 1e6, info.samples.size(),
-          qps, shed_per_s, deadline_per_s);
+          static_cast<double>(info.p99_nanos) / 1e6,
+          rate(info.answered, older.answered), rate(info.shed, older.shed),
+          rate(info.deadline_exceeded, older.deadline_exceeded));
       std::fflush(stdout);
+      older = info;
     }
     return 0;
   } else if (action == "reload") ok = client.Reload(&error);

@@ -6,7 +6,7 @@
 //                 [--drain_timeout_ms=N] [--fast_encoder=0|1]
 //                 [--failpoints=SPEC] [--log_level=LEVEL]
 //                 [--metrics_out=FILE] [--slow_query_ms=N] [--slow_log=FILE]
-//                 [--telemetry_interval_ms=N] [--request_log_out=FILE]
+//                 [--request_log_out=FILE]
 //
 // Loads the model weights and the index once — --index may be a monolithic
 // INDX snapshot or a MANI shard manifest (sharded results are bitwise
@@ -93,9 +93,6 @@ int main(int argc, char** argv) {
   flags.DefineString("slow_log", "",
                      "slow-query capture file (CRC-framed SLOW lines; "
                      "required when --slow_query_ms >= 0)");
-  flags.DefineInt("telemetry_interval_ms", 500,
-                  "telemetry sampler cadence for kStats / ctl top "
-                  "(0 = sampler off)");
   flags.DefineString("request_log_out", "",
                      "dump the wide-event request ring here on exit");
   if (!flags.Parse(argc, argv)) return 2;
@@ -116,12 +113,10 @@ int main(int argc, char** argv) {
   }
   if (flags.GetInt("queue_high_water") < 0 ||
       flags.GetInt("io_timeout_ms") < 0 || flags.GetInt("max_conns") < 0 ||
-      flags.GetInt("drain_timeout_ms") < 0 ||
-      flags.GetInt("telemetry_interval_ms") < 0) {
+      flags.GetInt("drain_timeout_ms") < 0) {
     std::fprintf(stderr,
                  "asteria-serve: --queue_high_water, --io_timeout_ms, "
-                 "--max_conns, --drain_timeout_ms, and "
-                 "--telemetry_interval_ms must be >= 0\n");
+                 "--max_conns, and --drain_timeout_ms must be >= 0\n");
     return 2;
   }
   if (flags.GetInt("slow_query_ms") >= 0 && flags.GetString("slow_log").empty()) {
@@ -173,8 +168,6 @@ int main(int argc, char** argv) {
   config.drain_timeout_ms = static_cast<int>(flags.GetInt("drain_timeout_ms"));
   config.slow_query_ms = static_cast<int>(flags.GetInt("slow_query_ms"));
   config.slow_log_path = flags.GetString("slow_log");
-  config.telemetry_interval_ms =
-      static_cast<int>(flags.GetInt("telemetry_interval_ms"));
 
   serve::Server server(model, config);
   std::string error;
