@@ -4,10 +4,11 @@
 // thousands of encoded functions, queried in batches. "Brute" is
 // oracle::TopKReference (tests/search_oracle.h) — the pre-packing
 // implementation that scores every entry one pair at a time. "Batch" is
-// TopKBatch — the packed encode matrix swept once per batch with
-// blocked-GEMM scoring and the exact callee-distance prefilter. The bench asserts the two return bitwise
-// identical hits (same entries, same score bits, same order) before it
-// reports any timing, so the speedup can never come from a wrong answer.
+// TopKBatch — the deduplicated encode columns swept once per batch with
+// blocked-GEMM scoring and the exact leaf prune. The bench asserts the
+// two return bitwise identical hits (same entries, same score bits, same
+// order) before it reports any timing, so the speedup can never come from
+// a wrong answer.
 //
 // Entries are synthetic encodings (AddEncoded, no per-entry model run) so
 // a >= 50k-entry index builds in milliseconds; queries are real ASTs

@@ -86,18 +86,20 @@ counter() {
 # san_build thread|address TARGET...
 #
 # Configures $ROOT/build-tsan or $ROOT/build-asan with the sanitizer on
-# (RelWithDebInfo), builds TARGET... there, sets SAN_BUILD to that
-# directory, and exports the sanitizer options that turn any report into a
-# non-zero exit. The address build also carries UBSan with no recovery, so
-# every script sharing build-asan configures it the same way.
+# (RelWithDebInfo) and warnings fatal (-Werror: a sanitizer build that
+# warns, e.g. -Wtsan about a construct TSan cannot model, fails), builds
+# TARGET... there, sets SAN_BUILD to that directory, and exports the
+# sanitizer options that turn any report into a non-zero exit. The address
+# build also carries UBSan with no recovery, so every script sharing
+# build-asan configures it the same way.
 san_build() {
-  local sanitizer="$1" flags=""
+  local sanitizer="$1" flags="-Werror"
   shift
   case "$sanitizer" in
     thread) SAN_BUILD="$ROOT/build-tsan" ;;
     address)
       SAN_BUILD="$ROOT/build-asan"
-      flags="-fsanitize=undefined -fno-sanitize-recover=undefined"
+      flags="$flags -fsanitize=undefined -fno-sanitize-recover=undefined"
       ;;
     *) echo "san_build: unknown sanitizer '$sanitizer'" >&2; return 2 ;;
   esac

@@ -72,6 +72,12 @@ class AsteriaModel {
                                     EncodingScoreScratch* scratch) const {
     siamese_.SimilarityFromEncodingsBatch(a, b, count, out, scratch);
   }
+  // Upper bound on that M over a box of columns (SearchIndex's leaf prune;
+  // see SiameseModel::SimilarityUpperBound).
+  double SimilarityUpperBound(const double* query, const double* lo,
+                              const double* hi) const {
+    return siamese_.SimilarityUpperBound(query, lo, hi);
+  }
 
   // One SGD step; returns the pair loss.
   double TrainPair(const ast::BinaryAst& a, const ast::BinaryAst& b,

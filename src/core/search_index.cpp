@@ -6,6 +6,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "store/container.h"
@@ -34,8 +35,10 @@ util::Histogram h_topk_batch_queries("search.topk_batch_queries");
 util::Histogram h_topk_batch_nanos("search.topk_batch_nanos");
 // Prune accounting, bumped once per sweep with shard-order totals (never in
 // the scoring inner loop), so metrics cost does not scale with index size.
-// Prune decisions depend only on callee counts, thresholds and
-// deterministic seed scores, so both totals are thread-count invariant.
+// Scored pairs are the (query, column) pairs the head evaluated; pruned
+// pairs are the rest of the index's entries. Leaves, seeds and bounds are
+// pure functions of the entries and the query, so both totals are
+// thread-count invariant.
 util::Counter c_scored_pairs("search.scored_pairs");
 util::Counter c_pruned_pairs("search.pruned_pairs");
 
@@ -44,12 +47,13 @@ constexpr std::uint32_t kTagIndexMeta = store::FourCc('I', 'M', 'E', 'T');
 constexpr std::uint32_t kTagIndexEntry = store::FourCc('E', 'N', 'T', 'R');
 constexpr std::uint32_t kSnapshotVersion = 1;
 
-// -- Exact prefilter machinery ---------------------------------------------
+// -- Leaf prune machinery ----------------------------------------------------
 //
-// F = M * S with M <= 1 and S = e^{-|C1-C2|}, so S alone upper-bounds the
-// calibrated score. The table below caches S for every integer distance the
-// double format can distinguish (e^-746 already underflows to 0.0), holding
-// the exact std::exp values CalleeSimilarity produces — scoring through the
+// F = M * S. A leaf holds one callee count, so S = e^{-|C1-C2|} is exact
+// for all of it, and SiameseModel::SimilarityUpperBound bounds M over its
+// box. The table below caches S for every integer distance the double
+// format can distinguish (e^-746 already underflows to 0.0), holding the
+// exact std::exp values CalleeSimilarity produces — scoring through the
 // table is bitwise identical to calling std::exp per pair.
 
 constexpr std::int64_t kExpTableSize = 768;
@@ -65,56 +69,39 @@ const std::array<double, kExpTableSize>& NegExpTable() {
   return table;
 }
 
-std::int64_t CalleeDistance(int a, int b) {
-  return std::abs(static_cast<std::int64_t>(a) - static_cast<std::int64_t>(b));
-}
-
 // S(C1, C2) by table lookup — the same value CalleeSimilarity returns.
-double CalleeSimFromDistance(std::int64_t d) {
+double CalleeSim(int a, int b) {
+  const std::int64_t d =
+      std::abs(static_cast<std::int64_t>(a) - static_cast<std::int64_t>(b));
   if (d < kExpTableSize) return NegExpTable()[static_cast<std::size_t>(d)];
   return std::exp(-static_cast<double>(d));
 }
 
-// The prune compares against S * kPruneSlack rather than S itself. For the
-// classification head M <= 1 holds bitwise (a softmax output never rounds
-// above 1), so F = fl(M*S) <= S exactly. The regression head's cosine can
-// exceed 1 by a few ulps of accumulated rounding (~1e-14 relative), so a
-// 1e-9 slack — five orders of magnitude of margin, far too small to weaken
-// the prune in practice — keeps the skip provably safe for both heads.
-// docs/PERFORMANCE.md has the full argument.
-constexpr double kPruneSlack = 1.0 + 1e-9;
+// A leaf holds at most this many distinct columns.
+constexpr int kLeafColumns = 16;
 
-double PruneBound(std::int64_t d) {
-  const std::int64_t clamped = d < kExpTableSize ? d : kExpTableSize - 1;
-  return NegExpTable()[static_cast<std::size_t>(clamped)] * kPruneSlack;
+// Main leaves cover the first LeafedPrefix(D) of D columns: D rounded down
+// to a multiple of the largest power of two g with 2 * g * kTailShare <= D
+// (g = 1 below 64 columns), so the tail after it is under D / kTailShare
+// columns. A pure function of D, so the leaves are a pure function of the
+// columns, whenever and however often they were built.
+constexpr std::int64_t kTailShare = 32;
+
+std::int64_t LeafedPrefix(std::int64_t d) {
+  std::int64_t g = 1;
+  while (2 * g * kTailShare <= d) g *= 2;
+  return d - d % g;
 }
 
-// Sentinel: no distance can be excluded — score every entry.
-constexpr std::int64_t kNoDistanceCut = std::numeric_limits<std::int64_t>::max();
+// A keep-k query scores its best-bound leaves first, at least this many and
+// then as many more as it takes to hold k entries; their k-th best score is
+// the floor the other leaves' bounds must reach.
+constexpr std::size_t kSeedLeaves = 16;
 
-// Largest |ΔC| whose calibration bound can still reach `floor`. Returns
-// kNoDistanceCut when nothing is excludable (floor <= 0 or NaN, or even the
-// underflowed tail of the table clears it) and -1 when even distance 0
-// cannot reach the floor (every entry is excluded).
-std::int64_t MaxAllowedDistance(double floor) {
-  if (!(floor > 0.0)) return kNoDistanceCut;
-  if (PruneBound(kExpTableSize - 1) >= floor) return kNoDistanceCut;
-  if (PruneBound(0) < floor) return -1;
-  // The bound is monotone non-increasing in d: binary search the last
-  // allowed distance. Invariant: bound(lo) >= floor > bound(hi).
-  std::int64_t lo = 0, hi = kExpTableSize - 1;
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (PruneBound(mid) >= floor) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
+// What a leaf is to one query.
+enum LeafRole : std::uint8_t { kSweepLeaf = 0, kSkipLeaf = 1, kSeedLeaf = 2 };
 
-// Gathers (query, entry column) pairs and scores a full block with one
+// Gathers (query, column) pairs and scores a full block with one
 // SimilarityFromEncodingsBatch call (one feature matrix + one blocked GEMM
 // per flush). One instance per worker; buffers are reused across flushes.
 class BlockScorer {
@@ -133,14 +120,14 @@ class BlockScorer {
 
   bool Full() const { return static_cast<int>(a_.size()) >= kPairsPerBlock; }
 
-  void Push(const double* query, const double* entry, int query_slot,
-            int entry_index) {
+  void Push(const double* query, const double* column, int query_slot,
+            int column_index) {
     a_.push_back(query);
-    b_.push_back(entry);
-    tags_.push_back({query_slot, entry_index});
+    b_.push_back(column);
+    tags_.push_back({query_slot, column_index});
   }
 
-  // Scores pending pairs and invokes sink(query_slot, entry_index, m) for
+  // Scores pending pairs and invokes sink(query_slot, column_index, m) for
   // each, in push order.
   template <typename Sink>
   void Flush(Sink&& sink) {
@@ -166,17 +153,30 @@ class BlockScorer {
   EncodingScoreScratch scratch_;
 };
 
-// Prune activation cut-offs. Below kMinPruneIndex entries the brute sweep
-// is already microseconds; above kMaxPruneK kept hits the serial seed pass
-// would cost more than it saves. Both depend only on (N, k), never on the
-// thread count, so the pruned set stays deterministic.
+// Prune activation cut-offs for keep-k plans. Below kMinPruneIndex entries
+// the brute sweep is already microseconds; above kMaxPruneK kept hits the
+// serial seed pass would cost more than it saves. Both depend only on
+// (N, k), never on the thread count, so the pruned set stays deterministic.
 constexpr std::int64_t kMinPruneIndex = 2048;
 constexpr std::size_t kMaxPruneK = 512;
 
-// Stack capacity for the per-(shard,query) pair tallies (2 slots each).
-// Covers e.g. 4 shards x 8 queries without touching the allocator; bigger
-// sweeps fall back to one heap vector.
+// Stack capacity for the per-(shard,query) scored-pair tallies. Covers e.g.
+// 8 shards x 8 queries without touching the allocator; bigger sweeps fall
+// back to one heap vector.
 constexpr std::size_t kStackTallySlots = 64;
+
+// The dedup key's hash: every bit of the encoding, then the callee count.
+std::uint64_t HashColumn(const double* column, int dim, int callee_count) {
+  std::uint64_t hash = 0x9e3779b97f4a7c15ULL ^
+                       static_cast<std::uint32_t>(callee_count);
+  for (int r = 0; r < dim; ++r) {
+    std::uint64_t bits;
+    std::memcpy(&bits, column + r, sizeof(bits));
+    hash = (hash ^ bits) * 0xff51afd7ed558ccdULL;
+    hash ^= hash >> 32;
+  }
+  return hash;
+}
 
 }  // namespace
 
@@ -242,24 +242,27 @@ static bool RefBefore(const Ref& a, const Ref& b) {
 }
 
 // Keeps at most `keep` best refs in a worst-on-top heap (the keep-k floor
-// policy's seed and shard-local heaps).
+// policy's seed and shard-local heaps). Returns false when `ref` is not
+// kept.
 template <typename Ref>
-static void PushHeapKeep(std::vector<Ref>* heap, std::size_t keep, Ref ref) {
+static bool PushHeapKeep(std::vector<Ref>* heap, std::size_t keep, Ref ref) {
   auto worse = [](const Ref& a, const Ref& b) {
     return RefBefore(a, b);  // heap top = worst kept ref
   };
   if (heap->size() < keep) {
     heap->push_back(ref);
     std::push_heap(heap->begin(), heap->end(), worse);
-  } else if (RefBefore(ref, heap->front())) {
-    std::pop_heap(heap->begin(), heap->end(), worse);
-    heap->back() = ref;
-    std::push_heap(heap->begin(), heap->end(), worse);
+    return true;
   }
+  if (!RefBefore(ref, heap->front())) return false;
+  std::pop_heap(heap->begin(), heap->end(), worse);
+  heap->back() = ref;
+  std::push_heap(heap->begin(), heap->end(), worse);
+  return true;
 }
 
-// Per-query sweep state: the encoded query, its floor policy, and the
-// exact-prune cut derived from that floor.
+// Per-query sweep state: the encoded query, its floor policy, and what each
+// leaf is to it.
 struct SearchIndex::QueryPlan {
   // Set by the caller.
   nn::Matrix encoding;
@@ -268,9 +271,11 @@ struct SearchIndex::QueryPlan {
   std::size_t keep = 0;    // keep-k: heap size; 0 disables scoring entirely
   double threshold = 0.0;  // threshold: the static floor
   // Derived by the sweep.
-  std::int64_t max_dist = kNoDistanceCut;  // skip entries with |ΔC| beyond
-  std::int64_t seed_lo = 0, seed_hi = 0;   // side positions already scored
-  std::vector<ScoredRef> seed_heap;        // their top-keep refs
+  std::vector<std::uint8_t> roles;  // LeafRole per leaf; empty = sweep all
+  std::vector<ScoredRef> seed_heap;  // the seed leaves' top-keep refs
+  std::uint64_t seed_pairs = 0;      // columns scored as seeds
+
+  bool scores() const { return !keep_k || keep > 0; }
 };
 
 double* SearchIndex::PackedColumns::AppendColumn() {
@@ -285,6 +290,13 @@ double* SearchIndex::PackedColumns::AppendColumn() {
   return column;
 }
 
+void SearchIndex::Leaves::KeepMain(std::size_t count, int dim) {
+  leaves.resize(count);
+  columns.resize(count == 0 ? 0
+                            : static_cast<std::size_t>(leaves.back().end));
+  boxes.resize(count * 2 * static_cast<std::size_t>(dim));
+}
+
 SearchIndex::SearchIndex(const AsteriaModel& model, int threads)
     : model_(model),
       threads_(threads < 1 ? 1 : threads),
@@ -292,18 +304,69 @@ SearchIndex::SearchIndex(const AsteriaModel& model, int threads)
   packed_.Reset(hidden_dim_);
 }
 
+int SearchIndex::FindColumn(const double* column, int callee_count,
+                            std::uint64_t hash) const {
+  if (column_slots_.empty()) return -1;
+  const std::size_t mask = column_slots_.size() - 1;
+  for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const int c = column_slots_[slot];
+    if (c < 0) return -1;
+    const ColumnGroup& group = columns_[static_cast<std::size_t>(c)];
+    if (group.hash == hash && group.callee_count == callee_count &&
+        std::memcmp(packed_.Column(c), column,
+                    static_cast<std::size_t>(hidden_dim_) * sizeof(double)) ==
+            0) {
+      return c;
+    }
+  }
+}
+
+void SearchIndex::RehashColumns() {
+  std::size_t size = 16;
+  while (size < 4 * columns_.size()) size *= 2;
+  column_slots_.assign(size, -1);
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    std::size_t slot = columns_[c].hash & (size - 1);
+    while (column_slots_[slot] >= 0) slot = (slot + 1) & (size - 1);
+    column_slots_[slot] = static_cast<int>(c);
+  }
+}
+
+int SearchIndex::CommitEntry(std::string name, int callee_count,
+                             const double* column) {
+  const int entry = size();
+  const std::uint64_t hash = HashColumn(column, hidden_dim_, callee_count);
+  int c = FindColumn(column, callee_count, hash);
+  if (c >= 0) {
+    ColumnGroup& group = columns_[static_cast<std::size_t>(c)];
+    entries_[static_cast<std::size_t>(group.last)].next = entry;
+    group.last = entry;
+  } else {
+    c = distinct_columns();
+    std::memcpy(packed_.AppendColumn(), column,
+                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
+    columns_.push_back({callee_count, entry, entry, hash});
+    if (2 * columns_.size() > column_slots_.size()) {
+      RehashColumns();
+    } else {
+      const std::size_t mask = column_slots_.size() - 1;
+      std::size_t slot = hash & mask;
+      while (column_slots_[slot] >= 0) slot = (slot + 1) & mask;
+      column_slots_[slot] = c;
+    }
+  }
+  entries_.push_back({std::move(name), callee_count, c, -1});
+  return entry;
+}
+
 int SearchIndex::Add(const FunctionFeature& feature) {
   util::TraceSpan span("encode");
   const nn::Matrix encoding = model_.Encode(feature.tree);
-  std::memcpy(packed_.AppendColumn(), encoding.data(),
-              static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-  EntryMeta meta;
-  meta.name = feature.name;
-  meta.callee_count = feature.callee_count;
-  entries_.push_back(std::move(meta));
-  MarkSideIndexDirty();
+  const int entry =
+      CommitEntry(feature.name, feature.callee_count, encoding.data());
+  MarkLeavesDirty();
   h_add_nanos.Observe(span.End());
-  return static_cast<int>(entries_.size()) - 1;
+  return entry;
 }
 
 int SearchIndex::AddEncoded(const std::string& name,
@@ -314,14 +377,9 @@ int SearchIndex::AddEncoded(const std::string& name,
       !AllFinite(encoding.data(), encoding.size())) {
     return -1;
   }
-  std::memcpy(packed_.AppendColumn(), encoding.data(),
-              static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-  EntryMeta meta;
-  meta.name = name;
-  meta.callee_count = callee_count;
-  entries_.push_back(std::move(meta));
-  MarkSideIndexDirty();
-  return static_cast<int>(entries_.size()) - 1;
+  const int entry = CommitEntry(name, callee_count, encoding.data());
+  MarkLeavesDirty();
+  return entry;
 }
 
 util::PipelineReport SearchIndex::AddAll(
@@ -333,11 +391,10 @@ util::PipelineReport SearchIndex::AddAll(
   entries_.reserve(entries_.size() + features.size());
   for (std::size_t i = 0; i < features.size(); ++i) {
     if (encoded.encodings[i].size() == 0) continue;
-    std::memcpy(packed_.AppendColumn(), encoded.encodings[i].data(),
-                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-    entries_.push_back({features[i].name, features[i].callee_count});
+    CommitEntry(features[i].name, features[i].callee_count,
+                encoded.encodings[i].data());
   }
-  MarkSideIndexDirty();
+  MarkLeavesDirty();
   encoded.report.stage = "index-encode";
   util::PublishPipelineReport(encoded.report);
   return encoded.report;
@@ -345,29 +402,135 @@ util::PipelineReport SearchIndex::AddAll(
 
 nn::Matrix SearchIndex::encoding(int index) const {
   nn::Matrix m(hidden_dim_, 1);
-  std::memcpy(m.data(), packed_.Column(index),
+  std::memcpy(m.data(),
+              packed_.Column(entries_[static_cast<std::size_t>(index)].column),
               static_cast<std::size_t>(hidden_dim_) * sizeof(double));
   return m;
 }
 
-void SearchIndex::EnsureSideIndexFresh() const {
-  if (!side_dirty_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(side_mutex_);
-  if (!side_dirty_.load(std::memory_order_relaxed)) return;
-  const int n = size();
-  side_order_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) side_order_[static_cast<std::size_t>(i)] = i;
-  std::sort(side_order_.begin(), side_order_.end(), [&](int a, int b) {
-    const int ca = entries_[static_cast<std::size_t>(a)].callee_count;
-    const int cb = entries_[static_cast<std::size_t>(b)].callee_count;
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
-  side_pos_.resize(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    side_pos_[static_cast<std::size_t>(side_order_[static_cast<std::size_t>(p)])] = p;
+void SearchIndex::EnsureLeavesFresh() const {
+  if (!leaves_dirty_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(leaf_mutex_);
+  if (!leaves_dirty_.load(std::memory_order_relaxed)) return;
+  const int columns = distinct_columns();
+  const int main_end = static_cast<int>(LeafedPrefix(columns));
+  if (leaves_.main_end != main_end) {
+    leaves_ = Leaves{};
+    BuildLeaves(0, main_end, &leaves_);
+    leaves_.main_end = main_end;
+    leaves_.main_count = leaves_.leaves.size();
+  } else {
+    leaves_.KeepMain(leaves_.main_count, hidden_dim_);
   }
-  side_dirty_.store(false, std::memory_order_release);
+  BuildLeaves(main_end, columns, &leaves_);
+  const std::vector<Leaves::Leaf>& all = leaves_.leaves;
+  leaves_.by_callee.resize(all.size());
+  std::iota(leaves_.by_callee.begin(), leaves_.by_callee.end(), 0);
+  std::stable_sort(leaves_.by_callee.begin(), leaves_.by_callee.end(),
+                   [&](int a, int b) {
+                     return all[static_cast<std::size_t>(a)].callee_count <
+                            all[static_cast<std::size_t>(b)].callee_count;
+                   });
+  leaves_.runs.clear();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i == 0 ||
+        all[static_cast<std::size_t>(leaves_.by_callee[i])].callee_count !=
+            all[static_cast<std::size_t>(leaves_.by_callee[i - 1])]
+                .callee_count) {
+      leaves_.runs.push_back(static_cast<int>(i));
+    }
+  }
+  leaves_.runs.push_back(static_cast<int>(all.size()));
+  leaves_dirty_.store(false, std::memory_order_release);
+}
+
+void SearchIndex::BuildLeaves(int begin, int end, Leaves* out) const {
+  const std::size_t dim = static_cast<std::size_t>(hidden_dim_);
+  // Columns by (callee count, column index); each run of one count is then
+  // split depth-first, lower half first, at the median of its widest
+  // dimension (ties by column index) until a part fits a leaf. Every step
+  // is a pure function of the columns.
+  std::vector<int> order(static_cast<std::size_t>(end - begin));
+  std::iota(order.begin(), order.end(), begin);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return columns_[static_cast<std::size_t>(a)].callee_count <
+           columns_[static_cast<std::size_t>(b)].callee_count;
+  });
+  std::vector<double> box(2 * dim);
+  std::vector<std::pair<std::size_t, std::size_t>> parts;
+  for (std::size_t run = 0; run < order.size();) {
+    const int callees =
+        columns_[static_cast<std::size_t>(order[run])].callee_count;
+    std::size_t run_end = run + 1;
+    while (run_end < order.size() &&
+           columns_[static_cast<std::size_t>(order[run_end])].callee_count ==
+               callees) {
+      ++run_end;
+    }
+    parts.assign(1, {run, run_end});
+    while (!parts.empty()) {
+      const auto [lo, hi] = parts.back();
+      parts.pop_back();
+      std::fill(box.begin(), box.begin() + static_cast<std::ptrdiff_t>(dim),
+                std::numeric_limits<double>::infinity());
+      std::fill(box.begin() + static_cast<std::ptrdiff_t>(dim), box.end(),
+                -std::numeric_limits<double>::infinity());
+      for (std::size_t i = lo; i < hi; ++i) {
+        const double* column = packed_.Column(order[i]);
+        for (std::size_t r = 0; r < dim; ++r) {
+          box[r] = std::min(box[r], column[r]);
+          box[dim + r] = std::max(box[dim + r], column[r]);
+        }
+      }
+      if (hi - lo <= static_cast<std::size_t>(kLeafColumns)) {
+        std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                  order.begin() + static_cast<std::ptrdiff_t>(hi));
+        const int first = static_cast<int>(out->columns.size());
+        out->columns.insert(out->columns.end(),
+                            order.begin() + static_cast<std::ptrdiff_t>(lo),
+                            order.begin() + static_cast<std::ptrdiff_t>(hi));
+        out->leaves.push_back(
+            {callees, first, static_cast<int>(out->columns.size())});
+        out->boxes.insert(out->boxes.end(), box.begin(), box.end());
+        continue;
+      }
+      std::size_t widest = 0;
+      for (std::size_t r = 1; r < dim; ++r) {
+        if (box[dim + r] - box[r] > box[dim + widest] - box[widest]) {
+          widest = r;
+        }
+      }
+      const std::size_t mid = lo + (hi - lo) / 2;
+      std::nth_element(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                       order.begin() + static_cast<std::ptrdiff_t>(mid),
+                       order.begin() + static_cast<std::ptrdiff_t>(hi),
+                       [&](int a, int b) {
+                         const double va = packed_.Column(a)[widest];
+                         const double vb = packed_.Column(b)[widest];
+                         if (va != vb) return va < vb;
+                         return a < b;
+                       });
+      parts.push_back({mid, hi});
+      parts.push_back({lo, mid});
+    }
+    run = run_end;
+  }
+}
+
+void SearchIndex::PushMembers(const QueryPlan& plan, int column,
+                              double score,
+                              std::vector<ScoredRef>* refs) const {
+  // Members share the score and come in insertion order, so the first one
+  // a keep-k heap rejects rules out every later one.
+  for (int e = columns_[static_cast<std::size_t>(column)].first; e >= 0;
+       e = entries_[static_cast<std::size_t>(e)].next) {
+    if (plan.keep_k) {
+      if (!PushHeapKeep(refs, plan.keep, ScoredRef{score, e})) return;
+    } else {
+      if (score < plan.threshold) return;
+      refs->push_back({score, e});
+    }
+  }
 }
 
 std::vector<std::vector<SearchHit>> SearchIndex::Sweep(
@@ -379,116 +542,173 @@ std::vector<std::vector<SearchHit>> SearchIndex::Sweep(
   std::vector<std::vector<SearchHit>> results(batch);
   if (batch == 0 || n == 0) return results;
   const std::int64_t sweep_start_nanos = util::TraceNowNanos();
+  EnsureLeavesFresh();
+  // Stable until the next mutation, which never overlaps a query.
+  const Leaves& leaves = leaves_;
+  const std::size_t leaf_count = leaves.leaves.size();
+  const std::size_t dim = static_cast<std::size_t>(hidden_dim_);
 
-  // Phase 1 — per-query floors. A threshold plan's floor is the threshold
-  // itself: no entry whose calibration bound falls below it can score above
-  // it, so no seed pass is needed. A keep-k plan earns a floor when the
-  // prune is worth arming (large index, small k): pick the `keep` entries
-  // nearest the query's callee count in the side order, score them serially
-  // into a full heap, and take its worst score. Either way the floor becomes
-  // the static distance cut: any entry farther than max_dist has bound <
-  // floor and provably cannot reach the result. Everything here is a pure
-  // function of (callee counts, k, threshold, scores), so plans — and
-  // therefore the skipped set — are thread-count invariant.
-  const auto seeded = [n](const QueryPlan& plan) {
-    return plan.keep_k && plan.keep > 0 && plan.keep <= kMaxPruneK &&
-           n >= kMinPruneIndex;
+  // Phase 1 — per-query leaf roles. A leaf's bound is M_ub * S, and never
+  // above S * kMaxSimilarity, so a leaf whose S alone falls below a known
+  // floor needs no box bound. A threshold plan's floor is the threshold
+  // itself. A keep-k plan earns a floor when the prune is worth arming
+  // (large index, small k): its best-bound leaves (bound desc, leaf index
+  // asc) are scored serially into a full heap as seeds, and the heap's
+  // worst score is the floor. Either way, a leaf whose bound falls strictly
+  // below the floor provably holds no result and is skipped. Everything
+  // here is a pure function of the leaves, the query and its scores, so the
+  // roles — and therefore the skipped set — are thread-count invariant.
+  const auto bounded = [n](const QueryPlan& plan) {
+    return !plan.keep_k || (plan.keep > 0 && plan.keep <= kMaxPruneK &&
+                            n >= kMinPruneIndex);
   };
-  const bool any_seeded = std::any_of(plans.begin(), plans.end(), seeded);
-  if (any_seeded) EnsureSideIndexFresh();
-  std::vector<std::uint64_t> seed_scored(batch, 0);
+  const bool any_bounded = std::any_of(plans.begin(), plans.end(), bounded);
   util::ParallelFor(
-      static_cast<std::int64_t>(batch), any_seeded ? threads_ : 1,
+      static_cast<std::int64_t>(batch), any_bounded ? threads_ : 1,
       [&](std::int64_t qi) {
-        const std::size_t q = static_cast<std::size_t>(qi);
-        QueryPlan& plan = plans[q];
-        if (!plan.keep_k) {
-          plan.max_dist = MaxAllowedDistance(plan.threshold);
-          return;
-        }
-        if (!seeded(plan)) {
-          return;  // no prune: the sweep scores every entry for this query
-        }
-        // Seed range: exactly `keep` side positions nearest the query's
-        // callee count, expanded one position at a time toward whichever
-        // neighbor is closer (ties toward larger counts — any fixed rule
-        // works, it only has to be deterministic).
-        std::int64_t lo =
-            std::lower_bound(side_order_.begin(), side_order_.end(),
-                             plan.callees,
-                             [&](int idx, int c) {
-                               return entries_[static_cast<std::size_t>(idx)]
-                                          .callee_count < c;
-                             }) -
-            side_order_.begin();
-        std::int64_t hi = lo;
-        while (hi - lo < static_cast<std::int64_t>(plan.keep)) {
-          bool take_right;
-          if (lo == 0) {
-            take_right = true;
-          } else if (hi == n) {
-            take_right = false;
-          } else {
-            const std::int64_t dr = CalleeDistance(
-                entries_[static_cast<std::size_t>(
-                             side_order_[static_cast<std::size_t>(hi)])]
-                    .callee_count,
-                plan.callees);
-            const std::int64_t dl = CalleeDistance(
-                entries_[static_cast<std::size_t>(
-                             side_order_[static_cast<std::size_t>(lo - 1)])]
-                    .callee_count,
-                plan.callees);
-            take_right = dr <= dl;
-          }
-          if (take_right) {
-            ++hi;
-          } else {
-            --lo;
-          }
-        }
-        plan.seed_lo = lo;
-        plan.seed_hi = hi;
-        plan.seed_heap.reserve(plan.keep + 1);
-        BlockScorer scorer(model_);
-        auto sink = [&](int, int entry, double m) {
-          const std::int64_t d = CalleeDistance(
-              entries_[static_cast<std::size_t>(entry)].callee_count,
-              plan.callees);
-          PushHeapKeep(&plan.seed_heap, plan.keep,
-                       {m * CalleeSimFromDistance(d), entry});
+        QueryPlan& plan = plans[static_cast<std::size_t>(qi)];
+        if (!bounded(plan)) return;  // sweeps every leaf, or none for k = 0
+        const double* query = plan.encoding.data();
+        const auto s_bound = [&](std::size_t l) {
+          return CalleeSim(leaves.leaves[l].callee_count, plan.callees) *
+                 SiameseModel::kMaxSimilarity;
         };
-        for (std::int64_t pos = lo; pos < hi; ++pos) {
-          const int entry = side_order_[static_cast<std::size_t>(pos)];
-          scorer.Push(plan.encoding.data(), packed_.Column(entry), 0, entry);
-          if (scorer.Full()) scorer.Flush(sink);
+        std::vector<double> bounds(leaf_count, -1.0);  // -1: not taken yet
+        const auto bound = [&](std::size_t l) {
+          if (bounds[l] < 0.0) {
+            const double* box = leaves.boxes.data() + l * 2 * dim;
+            const double b =
+                model_.SimilarityUpperBound(query, box, box + dim) *
+                CalleeSim(leaves.leaves[l].callee_count, plan.callees);
+            // A NaN bound (non-finite weights) never prunes.
+            bounds[l] =
+                std::isnan(b) ? std::numeric_limits<double>::infinity() : b;
+          }
+          return bounds[l];
+        };
+        plan.roles.assign(leaf_count, kSweepLeaf);
+        double floor = plan.threshold;
+        if (plan.keep_k) {
+          // Seeds: the best `seeds` leaves, the least count >= kSeedLeaves
+          // holding `keep` entries. Bounds are taken callee group by group,
+          // nearest count first, until the next group's S bound falls
+          // strictly below the last seed's bound: no leaf after it can
+          // displace a seed, so the choice equals ranking every leaf.
+          std::vector<std::size_t> groups(leaves.runs.size() - 1);
+          std::iota(groups.begin(), groups.end(), std::size_t{0});
+          const auto group_callees = [&](std::size_t g) {
+            return leaves.leaves[static_cast<std::size_t>(
+                                     leaves.by_callee[static_cast<std::size_t>(
+                                         leaves.runs[g])])]
+                .callee_count;
+          };
+          std::sort(groups.begin(), groups.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      const double sa = CalleeSim(group_callees(a), plan.callees);
+                      const double sb = CalleeSim(group_callees(b), plan.callees);
+                      if (sa != sb) return sa > sb;
+                      return a < b;
+                    });
+          const auto better = [&](int a, int b) {
+            const double ba = bounds[static_cast<std::size_t>(a)];
+            const double bb = bounds[static_cast<std::size_t>(b)];
+            if (ba != bb) return ba > bb;
+            return a < b;
+          };
+          std::vector<int> ranked;  // every bounded leaf, best first
+          std::size_t seeds = 0;
+          // Ranks `ranked` and counts off the seeds; true when they hold
+          // kSeedLeaves leaves and `keep` entries.
+          const auto select = [&] {
+            std::size_t head = std::min(kSeedLeaves, ranked.size());
+            std::partial_sort(ranked.begin(),
+                              ranked.begin() + static_cast<std::ptrdiff_t>(head),
+                              ranked.end(), better);
+            std::size_t members = 0;
+            seeds = 0;
+            while (seeds < ranked.size() &&
+                   (seeds < kSeedLeaves || members < plan.keep)) {
+              if (seeds == head) {
+                std::sort(ranked.begin() + static_cast<std::ptrdiff_t>(head),
+                          ranked.end(), better);
+                head = ranked.size();
+              }
+              const Leaves::Leaf& l =
+                  leaves.leaves[static_cast<std::size_t>(ranked[seeds++])];
+              for (int c = l.begin; c < l.end && members < plan.keep; ++c) {
+                for (int e = columns_[static_cast<std::size_t>(
+                                          leaves.columns[static_cast<std::size_t>(c)])]
+                                 .first;
+                     e >= 0 && members < plan.keep;
+                     e = entries_[static_cast<std::size_t>(e)].next) {
+                  ++members;
+                }
+              }
+            }
+            return seeds >= kSeedLeaves && members >= plan.keep;
+          };
+          for (std::size_t g : groups) {
+            const std::size_t first = static_cast<std::size_t>(
+                leaves.by_callee[static_cast<std::size_t>(leaves.runs[g])]);
+            if (ranked.size() >= kSeedLeaves && select() &&
+                s_bound(first) <
+                    bounds[static_cast<std::size_t>(ranked[seeds - 1])]) {
+              break;
+            }
+            for (int i = leaves.runs[g]; i < leaves.runs[g + 1]; ++i) {
+              const int l = leaves.by_callee[static_cast<std::size_t>(i)];
+              bound(static_cast<std::size_t>(l));
+              ranked.push_back(l);
+            }
+          }
+          select();
+          plan.seed_heap.reserve(plan.keep + 1);
+          BlockScorer scorer(model_);
+          auto sink = [&](int, int column, double m) {
+            PushMembers(plan, column,
+                        m * CalleeSim(columns_[static_cast<std::size_t>(column)]
+                                          .callee_count,
+                                      plan.callees),
+                        &plan.seed_heap);
+          };
+          for (std::size_t i = 0; i < seeds; ++i) {
+            const std::size_t leaf = static_cast<std::size_t>(ranked[i]);
+            plan.roles[leaf] = kSeedLeaf;
+            const Leaves::Leaf& l = leaves.leaves[leaf];
+            for (int c = l.begin; c < l.end; ++c) {
+              const int column = leaves.columns[static_cast<std::size_t>(c)];
+              scorer.Push(query, packed_.Column(column), 0, column);
+              if (scorer.Full()) scorer.Flush(sink);
+            }
+            plan.seed_pairs += static_cast<std::uint64_t>(l.end - l.begin);
+          }
+          scorer.Flush(sink);
+          // The seeds hold at least `keep` entries, so the heap is full and
+          // its worst score is a lower bound on the final k-th score.
+          floor = plan.seed_heap.front().score;
         }
-        scorer.Flush(sink);
-        seed_scored[q] = static_cast<std::uint64_t>(hi - lo);
-        // The heap is full (keep <= N seeds), so its worst score is a lower
-        // bound on the final k-th score: only entries whose calibration
-        // bound reaches it can still matter.
-        plan.max_dist = MaxAllowedDistance(plan.seed_heap.front().score);
+        for (std::size_t l = 0; l < leaf_count; ++l) {
+          if (plan.roles[l] == kSweepLeaf &&
+              (s_bound(l) < floor || bound(l) < floor)) {
+            plan.roles[l] = kSkipLeaf;
+          }
+        }
       });
 
-  // Phase 2 — one blocked sweep over the packed matrix in insertion order.
-  // Every (entry block x query batch) tile is gathered and scored through
-  // one GEMM flush; seeds are skipped by side position, pruned pairs by the
-  // distance cut. Survivors land in shard-local refs: a k-bounded heap for
+  // Phase 2 — one blocked sweep over the leaves in leaf order. Each leaf's
+  // columns are gathered for every query that sweeps it and scored through
+  // GEMM flushes. Survivors land in shard-local refs: a k-bounded heap for
   // keep-k, every ref at or above the floor for threshold.
   const int max_shards = threads_;
   const std::size_t shard_slots =
       static_cast<std::size_t>(std::max(1, max_shards));
   std::vector<std::vector<std::vector<ScoredRef>>> shard_refs(
       shard_slots, std::vector<std::vector<ScoredRef>>(batch));
-  // Pair tallies per (shard, query), flattened (rows of 2*batch per shard:
-  // scored then pruned): summed across queries they give the per-sweep
-  // counter deltas; summed across shards they give each query's exact
-  // scored/pruned counts for `stats`. Flat — and on the stack for the
+  // Scored-pair tallies per (shard, query), flattened: summed across shards
+  // they give each query's scored columns. Flat — and on the stack for the
   // common small case — because this runs per dispatch: a nested
-  // vector-of-vectors costs 2*(shards+1) mallocs on the warm
-  // singleton-query path.
-  const std::size_t tally_count = shard_slots * batch * 2;
+  // vector-of-vectors costs mallocs on the warm singleton-query path.
+  const std::size_t tally_count = shard_slots * batch;
   std::uint64_t stack_tallies[kStackTallySlots] = {};
   std::vector<std::uint64_t> heap_tallies;
   std::uint64_t* shard_tallies = stack_tallies;
@@ -497,50 +717,40 @@ std::vector<std::vector<SearchHit>> SearchIndex::Sweep(
     shard_tallies = heap_tallies.data();
   }
   util::ParallelForShards(
-      n, max_shards, [&](std::int64_t begin, std::int64_t end, int shard) {
+      static_cast<std::int64_t>(leaf_count), max_shards,
+      [&](std::int64_t begin, std::int64_t end, int shard) {
         std::vector<std::vector<ScoredRef>>& locals =
             shard_refs[static_cast<std::size_t>(shard)];
         for (std::size_t q = 0; q < batch; ++q) {
           if (plans[q].keep_k) locals[q].reserve(plans[q].keep + 1);
         }
         std::uint64_t* const scored =
-            shard_tallies + static_cast<std::size_t>(shard) * batch * 2;
-        std::uint64_t* const pruned = scored + batch;
+            shard_tallies + static_cast<std::size_t>(shard) * batch;
         BlockScorer scorer(model_);
-        auto sink = [&](int q, int entry, double m) {
-          const std::size_t slot = static_cast<std::size_t>(q);
-          const QueryPlan& plan = plans[slot];
-          const std::int64_t d = CalleeDistance(
-              entries_[static_cast<std::size_t>(entry)].callee_count,
-              plan.callees);
-          const double score = m * CalleeSimFromDistance(d);
-          if (plan.keep_k) {
-            PushHeapKeep(&locals[slot], plan.keep, {score, entry});
-          } else if (!(score < plan.threshold)) {
-            locals[slot].push_back({score, entry});
-          }
+        auto sink = [&](int q, int column, double m) {
+          const QueryPlan& plan = plans[static_cast<std::size_t>(q)];
+          PushMembers(plan, column,
+                      m * CalleeSim(columns_[static_cast<std::size_t>(column)]
+                                        .callee_count,
+                                    plan.callees),
+                      &locals[static_cast<std::size_t>(q)]);
         };
-        for (std::int64_t i = begin; i < end; ++i) {
-          const int ce = entries_[static_cast<std::size_t>(i)].callee_count;
-          const double* column = packed_.Column(i);
+        for (std::int64_t l = begin; l < end; ++l) {
+          const Leaves::Leaf& leaf = leaves.leaves[static_cast<std::size_t>(l)];
           for (std::size_t q = 0; q < batch; ++q) {
             const QueryPlan& plan = plans[q];
-            if (plan.keep_k && plan.keep == 0) continue;
-            if (plan.seed_hi > plan.seed_lo) {
-              const int pos = side_pos_[static_cast<std::size_t>(i)];
-              if (pos >= plan.seed_lo && pos < plan.seed_hi) {
-                continue;  // already scored as a seed
-              }
-            }
-            if (plan.max_dist != kNoDistanceCut &&
-                CalleeDistance(ce, plan.callees) > plan.max_dist) {
-              ++pruned[q];
+            if (!plan.scores() ||
+                (!plan.roles.empty() &&
+                 plan.roles[static_cast<std::size_t>(l)] != kSweepLeaf)) {
               continue;
             }
-            scorer.Push(plan.encoding.data(), column, static_cast<int>(q),
-                        static_cast<int>(i));
-            ++scored[q];
-            if (scorer.Full()) scorer.Flush(sink);
+            for (int c = leaf.begin; c < leaf.end; ++c) {
+              const int column = leaves.columns[static_cast<std::size_t>(c)];
+              scorer.Push(plan.encoding.data(), packed_.Column(column),
+                          static_cast<int>(q), column);
+              if (scorer.Full()) scorer.Flush(sink);
+            }
+            scored[q] += static_cast<std::uint64_t>(leaf.end - leaf.begin);
           }
         }
         scorer.Flush(sink);
@@ -552,11 +762,12 @@ std::vector<std::vector<SearchHit>> SearchIndex::Sweep(
   // the brute-force sweep at any thread count.
   std::uint64_t total_scored = 0, total_pruned = 0;
   for (std::size_t q = 0; q < batch; ++q) {
-    std::uint64_t q_scored = seed_scored[q], q_pruned = 0;
+    if (!plans[q].scores()) continue;
+    std::uint64_t q_scored = plans[q].seed_pairs;
     for (std::size_t s = 0; s < shard_slots; ++s) {
-      q_scored += shard_tallies[s * batch * 2 + q];
-      q_pruned += shard_tallies[s * batch * 2 + batch + q];
+      q_scored += shard_tallies[s * batch + q];
     }
+    const std::uint64_t q_pruned = static_cast<std::uint64_t>(n) - q_scored;
     total_scored += q_scored;
     total_pruned += q_pruned;
     if (stats != nullptr) {
@@ -713,7 +924,7 @@ bool SearchIndex::Save(const std::string& path, std::string* error) const {
     const EntryMeta& entry = entries_[i];
     store::ChunkBuilder chunk;
     BuildEntryChunk(entry.name, entry.callee_count, hidden_dim_,
-                    packed_.Column(static_cast<std::int64_t>(i)), &chunk);
+                    packed_.Column(entry.column), &chunk);
     if (!writer.WriteChunk(kTagIndexEntry, chunk, error)) return false;
   }
   return writer.Finish(error);
@@ -762,7 +973,7 @@ bool SearchIndex::AppendTo(const std::string& path, int first_index,
     const EntryMeta& entry = entries_[i];
     store::ChunkBuilder chunk;
     BuildEntryChunk(entry.name, entry.callee_count, hidden_dim_,
-                    packed_.Column(static_cast<std::int64_t>(i)), &chunk);
+                    packed_.Column(entry.column), &chunk);
     if (!writer.WriteChunk(kTagIndexEntry, chunk, error)) return false;
   }
   return writer.Finish(error);
@@ -859,29 +1070,60 @@ bool SearchIndex::LoadEntriesFrom(const std::string& path, StagedEntries* out,
 void SearchIndex::CommitStaged(StagedEntries&& staged) {
   entries_.reserve(entries_.size() + staged.meta.size());
   for (std::size_t i = 0; i < staged.meta.size(); ++i) {
-    std::memcpy(packed_.AppendColumn(),
-                staged.columns.data() + i * static_cast<std::size_t>(hidden_dim_),
-                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
-    entries_.push_back(std::move(staged.meta[i]));
+    CommitEntry(std::move(staged.meta[i].name), staged.meta[i].callee_count,
+                staged.columns.data() + i * static_cast<std::size_t>(hidden_dim_));
   }
-  MarkSideIndexDirty();
+  MarkLeavesDirty();
 }
 
 void SearchIndex::ReplaceEntries(const SearchIndex* base, std::size_t reused,
                                  StagedEntries&& staged) {
-  // Built aside and moved in, so `base` may be this index itself.
+  // Built aside and moved in, so `base` may be this index itself. Columns
+  // are numbered by first appearance, so the prefix's columns are exactly
+  // those it holds a first member of; member chains are cut at the prefix
+  // end, and the main leaves carry over when they cover only its columns.
   std::vector<EntryMeta> entries;
-  entries.reserve(reused + staged.meta.size());
+  std::vector<ColumnGroup> columns;
   PackedColumns packed;
   packed.Reset(hidden_dim_);
-  for (std::size_t i = 0; i < reused; ++i) {
-    entries.push_back(base->entries_[i]);
-    std::memcpy(packed.AppendColumn(),
-                base->packed_.Column(static_cast<std::int64_t>(i)),
-                static_cast<std::size_t>(hidden_dim_) * sizeof(double));
+  Leaves leaves;
+  if (reused > 0) {
+    entries.reserve(reused + staged.meta.size());
+    entries.assign(base->entries_.begin(),
+                   base->entries_.begin() + static_cast<std::ptrdiff_t>(reused));
+    columns.assign(base->columns_.begin(),
+                   std::partition_point(base->columns_.begin(),
+                                        base->columns_.end(),
+                                        [&](const ColumnGroup& group) {
+                                          return static_cast<std::size_t>(
+                                                     group.first) < reused;
+                                        }));
+    for (std::size_t i = 0; i < reused; ++i) {
+      EntryMeta& entry = entries[i];
+      entry.next = -1;
+      ColumnGroup& group = columns[static_cast<std::size_t>(entry.column)];
+      if (group.first != static_cast<int>(i)) {
+        entries[static_cast<std::size_t>(group.last)].next =
+            static_cast<int>(i);
+      }
+      group.last = static_cast<int>(i);
+    }
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      std::memcpy(packed.AppendColumn(),
+                  base->packed_.Column(static_cast<std::int64_t>(c)),
+                  static_cast<std::size_t>(hidden_dim_) * sizeof(double));
+    }
+    std::lock_guard<std::mutex> lock(base->leaf_mutex_);
+    if (static_cast<std::size_t>(base->leaves_.main_end) <= columns.size()) {
+      leaves = base->leaves_;
+      leaves.KeepMain(leaves.main_count, hidden_dim_);
+    }
   }
   entries_ = std::move(entries);
+  columns_ = std::move(columns);
   packed_ = std::move(packed);
+  leaves_ = std::move(leaves);
+  RehashColumns();
   CommitStaged(std::move(staged));
 }
 

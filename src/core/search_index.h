@@ -5,38 +5,49 @@
 // encoded and scored against all stored encodings with the fast eq. (8)
 // replay plus callee calibration, returning the top-k matches.
 //
-// Storage is a packed encode matrix: entry encodings live column-major
-// (hidden_dim x N) in fixed-size column blocks, so Add/AddEncoded/
-// LoadAppend never copy existing columns and a scoring sweep walks
-// contiguous memory instead of N scattered heap allocations. Scoring is
-// blocked: a whole (query batch x entry block) tile becomes one feature
+// Storage is a packed encode matrix: distinct columns live column-major
+// (hidden_dim x D) in fixed-size column blocks, so Add/AddEncoded/
+// LoadAppend never copy existing columns and a scoring sweep reads
+// contiguous columns instead of N scattered heap allocations. Scoring is
+// blocked: a whole batch of (query, column) pairs becomes one feature
 // matrix and a single nn::Matrix::GemmRaw against the head weights
 // (SiameseModel::SimilarityFromEncodingsBatch), with SearchHit names
 // materialized only for the hits that survive — never per scored pair.
 //
-// Every query path runs one sweep whose per-query plan carries a *floor
-// policy* — the score below which no entry can matter:
-//   - keep-k (TopK/TopKBatch): a callee-count-sorted side index seeds the
-//     query's k-bounded heap with its nearest-callee entries; the worst
-//     seed score is the floor, and the kept refs are cut to k;
+// Entries are deduplicated at commit: every distinct (encoding bits,
+// callee count) pair is stored and scored once as a *column*, and each
+// entry sharing it (the same library build ships in many firmware images)
+// takes its column's score bits. A column's members are chained in
+// insertion order, so the (score desc, insertion index asc) order — and so
+// every result bit — is what scoring each entry separately would give.
+//
+// Every query path runs one sweep over *leaves*: groups of at most 16
+// distinct columns with one callee count, split on their widest dimension,
+// each carrying a per-dimension min/max box. Each query bounds every leaf
+// by M_ub * S — S = e^{-|C1-C2|} is exact for the leaf, and M_ub
+// (SiameseModel::SimilarityUpperBound) bounds eq. (8) over the box,
+// rounding included. The per-query plan carries a *floor policy* — the
+// score below which no entry can matter:
+//   - keep-k (TopK/TopKBatch): the best-bound leaves are scored first as
+//     seeds into the query's k-bounded heap; its worst score is the floor,
+//     and the kept refs are cut to k;
 //   - threshold (AboveThreshold/AboveThresholdBatch): the threshold itself
 //     is a static floor; no seeds, every surviving ref is kept and sorted.
-// Either floor arms the same *exact* prefilter: M(T1,T2) <= 1, so the
-// calibrated score F = M * S is bounded by S(C1,C2) = e^{-|C1-C2|}, and
-// every entry whose calibration bound falls strictly below the floor is
-// skipped — a legal prune that only drops provably-losing entries (proof
-// sketch in docs/PERFORMANCE.md). Results are therefore bitwise identical
-// to a brute-force sweep; tests/search_oracle.h holds that brute force as
-// the differential oracle and bench baseline.
+// A leaf whose bound falls strictly below the floor is skipped — a legal
+// prune that only drops provably-losing entries (proof sketch in
+// docs/PERFORMANCE.md). Results are therefore bitwise identical to a
+// brute-force sweep; tests/search_oracle.h holds that brute force as the
+// differential oracle and bench baseline.
 //
 // Both phases parallelize over util::ThreadPool with its static-partition
 // determinism contract: AddAll encodes shards of the input concurrently but
-// stores entries in input order, and the query paths score shards with
-// local top-k heaps merged shard-by-shard under a strict total order
-// (score desc, insertion index asc), so encodings, scores, and result
-// ordering are bitwise identical for every thread count. Prune decisions
-// depend only on callee counts and the deterministic seed scores — never on
-// sharding — so the skipped set is thread-count invariant too.
+// stores entries in input order, and the query paths score shards of the
+// leaf list with local top-k heaps merged shard-by-shard under a strict
+// total order (score desc, insertion index asc), so encodings, scores, and
+// result ordering are bitwise identical for every thread count. Leaves,
+// seeds and prune decisions are pure functions of the entries and the
+// query — never of sharding, batching or when the leaves were built — so
+// the skipped set is thread-count invariant too.
 #pragma once
 
 #include <atomic>
@@ -112,11 +123,14 @@ class SearchIndex {
   // Per-query accounting for one batched search, filled (when requested)
   // alongside the results so asteria-serve can cut one wide-event request
   // record per query (util/request_log.h). The pair counts are exact and
-  // thread-count invariant — summed over the batch they equal the
-  // search.scored_pairs / search.pruned_pairs counter deltas. The timings
-  // are wall clock: encode_nanos is this query's own AST encode;
-  // score_nanos is the batch's *shared* sweep (every query in a batch
-  // reports the same value, because the blocked GEMM scores them together).
+  // thread-count invariant: scored_pairs counts the (query, column) pairs
+  // the head evaluated, seeds included, and pruned_pairs the rest of the
+  // index's entries, so a scoring query's two sum to size(). Summed over
+  // the batch they equal the search.scored_pairs / search.pruned_pairs
+  // counter deltas. The timings are wall clock: encode_nanos is this
+  // query's own AST encode; score_nanos is the batch's *shared* sweep
+  // (every query in a batch reports the same value, because the blocked
+  // GEMM scores them together).
   struct QuerySearchStats {
     std::uint64_t encode_nanos = 0;
     std::uint64_t score_nanos = 0;
@@ -125,9 +139,9 @@ class SearchIndex {
   };
 
   // Batched TopK — the asteria-serve dispatch path: encodes every query,
-  // then scores the whole batch in one blocked-GEMM sweep over the packed
-  // entry matrix (each entry block is touched once per sweep instead of
-  // once per query), keeping a per-query top-k heap. ks[i] is query i's k.
+  // then scores the whole batch in one blocked-GEMM sweep over the leaves
+  // (each leaf is visited once per sweep for every query that keeps it),
+  // keeping a per-query top-k heap. ks[i] is query i's k.
   // Results are bitwise identical to calling TopK(queries[i], ks[i]) one at
   // a time: the strict (score desc, index asc) total order makes the
   // ranking a pure function of the scores, independent of batching and
@@ -139,9 +153,9 @@ class SearchIndex {
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
   // All hits scoring at least `threshold`, descending. Routed through the
-  // same pruned/blocked sweep as TopK — entries whose calibration bound
-  // already falls below `threshold` are skipped, and only surviving hits
-  // are ever materialized (no O(N) scored-vector allocation).
+  // same pruned/blocked sweep as TopK — leaves whose bound already falls
+  // below `threshold` are skipped, and only surviving hits are ever
+  // materialized (no O(N) scored-vector allocation).
   std::vector<SearchHit> AboveThreshold(const FunctionFeature& query,
                                         double threshold) const;
 
@@ -154,8 +168,10 @@ class SearchIndex {
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
   int size() const { return static_cast<int>(entries_.size()); }
+  // Distinct (encoding bits, callee count) columns: what a sweep scores.
+  int distinct_columns() const { return static_cast<int>(columns_.size()); }
 
-  // Stored encoding of entry `index`, materialized from the packed column
+  // Stored encoding of entry `index`, materialized from its column
   // (bitwise-reproducibility checks).
   nn::Matrix encoding(int index) const;
   const std::string& name(int index) const {
@@ -224,13 +240,25 @@ class SearchIndex {
   int shards_read() const { return shards_read_; }
 
  private:
-  // Per-entry metadata; the encoding itself lives in `packed_`.
+  // Per-entry metadata. The encoding lives in the entry's distinct column
+  // in `packed_`; `next` chains the entries sharing that column in
+  // insertion order.
   struct EntryMeta {
     std::string name;
     int callee_count = 0;
+    int column = -1;  // distinct column holding the encoding
+    int next = -1;    // next entry sharing the column, or -1
   };
 
-  // The packed encode matrix: hidden_dim x N, column-major, grown in
+  // One distinct (encoding bits, callee count) column and its members.
+  struct ColumnGroup {
+    int callee_count = 0;
+    int first = 0;  // first and last member entries
+    int last = 0;
+    std::uint64_t hash = 0;  // of the encoding bits and callee count
+  };
+
+  // The packed encode matrix: hidden_dim x D, column-major, grown in
   // fixed-size column blocks so appends never move existing columns (stable
   // pointers, no realloc copy) and LoadAppend stays O(new entries).
   class PackedColumns {
@@ -256,6 +284,30 @@ class SearchIndex {
     std::vector<std::unique_ptr<double[]>> blocks_;
   };
 
+  // Leaves over the distinct columns, built lazily by the first query after
+  // a mutation. A leaf holds up to 16 columns of one callee count and their
+  // per-dimension min/max box. The first `main_count` leaves cover columns
+  // [0, main_end), where main_end is a pure function of the column count
+  // (LeafedPrefix); the rest cover the short tail after it. Appends only
+  // touch the tail, so a reload with a base reuses the main leaves.
+  struct Leaves {
+    struct Leaf {
+      int callee_count = 0;
+      int begin = 0, end = 0;  // its columns: columns[begin, end)
+    };
+    int main_end = 0;
+    std::size_t main_count = 0;
+    std::vector<Leaf> leaves;
+    std::vector<int> columns;   // column indices, leaf by leaf
+    std::vector<double> boxes;  // per leaf: lo[dim], then hi[dim]
+    // Leaf indices by (callee count, leaf index); runs[g] is where callee
+    // group g starts in it, and runs.back() == leaves.size().
+    std::vector<int> by_callee;
+    std::vector<int> runs;
+    // Drops every leaf after the first `count` main ones.
+    void KeepMain(std::size_t count, int dim);
+  };
+
   // A (score, insertion index) pair — what the sweep heaps and merges.
   // Names are attached only to the hits that survive selection.
   struct ScoredRef {
@@ -263,8 +315,8 @@ class SearchIndex {
     int index = 0;
   };
 
-  // Per-query sweep state: the encoded query, its floor policy, and the
-  // exact-prune cut derived from that floor.
+  // Per-query sweep state: the encoded query, its floor policy, and what
+  // each leaf is to it (seed, swept or skipped).
   struct QueryPlan;
 
   // Entries staged by a snapshot load before committing to the index.
@@ -281,22 +333,35 @@ class SearchIndex {
       std::vector<QuerySearchStats>* stats) const;
 
   // The one pruned/blocked sweep behind every query path. Plans arrive with
-  // encoding, callees and floor policy set; the sweep derives seeds and the
-  // distance cut, scores, and merges. `stats` (nullable) receives per-query
-  // pair counts and the shared sweep time; the caller must have sized it
-  // to the batch.
+  // encoding, callees and floor policy set; the sweep bounds the leaves,
+  // scores seeds, sweeps the rest, and merges. `stats` (nullable) receives
+  // per-query pair counts and the shared sweep time; the caller must have
+  // sized it to the batch.
   std::vector<std::vector<SearchHit>> Sweep(
       std::vector<QueryPlan>* plans,
       std::vector<QuerySearchStats>* stats = nullptr) const;
 
-  // Rebuilds the callee-count-sorted side index if entries changed since
-  // the last query (double-checked under side_mutex_, so concurrent
-  // queries rebuild exactly once).
-  void EnsureSideIndexFresh() const;
-  void MarkSideIndexDirty() {
-    side_dirty_.store(true, std::memory_order_release);
+  // Scores one column's members into a plan's refs: each member takes the
+  // column's score, in insertion order, until the keep-k heap rejects one.
+  void PushMembers(const QueryPlan& plan, int column, double score,
+                   std::vector<ScoredRef>* refs) const;
+
+  // Brings the leaves up to date with the columns if they changed since the
+  // last query (double-checked under leaf_mutex_, so concurrent queries
+  // build exactly once).
+  void EnsureLeavesFresh() const;
+  void BuildLeaves(int begin, int end, Leaves* out) const;
+  void MarkLeavesDirty() {
+    leaves_dirty_.store(true, std::memory_order_release);
   }
 
+  // Appends one entry, sharing an existing column when its encoding bits
+  // and callee count match one; returns the entry index.
+  int CommitEntry(std::string name, int callee_count, const double* column);
+  int FindColumn(const double* column, int callee_count,
+                 std::uint64_t hash) const;
+  // Rebuilds the column hash table for columns_.size() columns.
+  void RehashColumns();
   void CommitStaged(StagedEntries&& staged);
   // Replaces every entry with `base`'s first `reused` entries followed by
   // `staged` (base may be null when reused == 0, or `this`).
@@ -309,7 +374,11 @@ class SearchIndex {
   int threads_ = 1;
   int hidden_dim_ = 0;
   std::vector<EntryMeta> entries_;
+  std::vector<ColumnGroup> columns_;
   PackedColumns packed_;
+  // Open-addressing table of column indices by hash (-1 = empty slot),
+  // sized to a power of two at least twice the column count.
+  std::vector<int> column_slots_;
 
   // The manifest the leading entries were opened from: its directory, its
   // weights fingerprint and its shard records, in order. Empty after an
@@ -324,13 +393,9 @@ class SearchIndex {
   int shards_reused_ = 0;
   int shards_read_ = 0;
 
-  // Callee-count-sorted side index, rebuilt lazily on the first query after
-  // a mutation: side_order_ holds entry indices sorted by (callee_count,
-  // insertion index); side_pos_ is its inverse permutation.
-  mutable std::mutex side_mutex_;
-  mutable std::atomic<bool> side_dirty_{true};
-  mutable std::vector<int> side_order_;
-  mutable std::vector<int> side_pos_;
+  mutable std::mutex leaf_mutex_;
+  mutable std::atomic<bool> leaves_dirty_{true};
+  mutable Leaves leaves_;
 };
 
 }  // namespace asteria::core

@@ -232,6 +232,52 @@ void SiameseModel::SimilarityFromEncodingsBatch(
   }
 }
 
+double SiameseModel::SimilarityUpperBound(const double* query,
+                                          const double* lo,
+                                          const double* hi) const {
+  if (config_.head == SiameseHead::kRegression) return kMaxSimilarity;
+  // M = softmax(logits)[1] = sigma(l1 - l0), and l1 - l0 = sum_k v_k f_k
+  // with v = W[:,1] - W[:,0]. For a box column b, fl(|x - b|) and fl(x * b)
+  // are monotone in b (rounding is), so each feature's argument is bounded
+  // by its value at lo or hi, computed with the scorer's own expressions.
+  const int h = config_.encoder.hidden_dim;
+  const Matrix& w = w_out_->value;
+  double diff = 0.0, scale = 0.0;
+  for (int k = 0; k < 2 * h; ++k) {
+    const int r = k < h ? k : k - h;
+    const double v = w(k, 1) - w(k, 0);
+    double arg;
+    if (k < h) {
+      const double at_lo = std::fabs(query[r] - lo[r]);
+      const double at_hi = std::fabs(query[r] - hi[r]);
+      if (v > 0.0) {
+        arg = std::max(at_lo, at_hi);
+      } else {
+        arg = lo[r] <= query[r] && query[r] <= hi[r]
+                  ? 0.0
+                  : std::min(at_lo, at_hi);
+      }
+    } else {
+      const double at_lo = query[r] * lo[r];
+      const double at_hi = query[r] * hi[r];
+      arg = v > 0.0 ? std::max(at_lo, at_hi) : std::min(at_lo, at_hi);
+    }
+    diff += v * (1.0 / (1.0 + std::exp(-arg)));
+    scale += std::fabs(w(k, 0)) + std::fabs(w(k, 1)) + std::fabs(v);
+  }
+  // Rounding margin. The scorer's two logits each sum 2h terms in [0, 1]
+  // (error <= 2h ulps of sum |W[:,i]|), its features and this bound's
+  // features differ by a few ulps each (exp is not exactly monotone),
+  // and this sum and v carry their own 2h ulps: all of it is below
+  // (2h + 16) * 2^-52 * scale. Twice that goes on the logit difference;
+  // then 1e-12 relative covers sigma's and the softmax's exp, add and
+  // divide, and DBL_MIN covers a subnormal M that sigma here rounds to 0.
+  const double margin = 2.0 * (2 * h + 16) *
+                        std::numeric_limits<double>::epsilon() * scale;
+  const double bound = 1.0 / (1.0 + std::exp(-(diff + margin)));
+  return bound * (1.0 + 1e-12) + std::numeric_limits<double>::min();
+}
+
 double SiameseModel::AccumulateGradients(const ast::BinaryAst& a,
                                          const ast::BinaryAst& b,
                                          bool homologous) {

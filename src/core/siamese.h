@@ -77,6 +77,23 @@ class SiameseModel {
                                     double* out,
                                     EncodingScoreScratch* scratch) const;
 
+  // An upper bound on every M that SimilarityFromEncodingsBatch returns for
+  // any column inside a box: kMaxSimilarity for any two encodings, and for
+  // the classification head the eq. (8) bound over every b with
+  // lo[r] <= b[r] <= hi[r]. Both feature families are monotone in b[r] on
+  // either side of the query, so each feature takes the box extreme that
+  // the sign of W[:,1] - W[:,0] favours; the bound carries an explicit
+  // margin for the rounding of the 2h-term logit sums and of every exp, so
+  // it holds for the computed M, bit for bit, not just the real one. The
+  // regression head has no box bound and returns kMaxSimilarity.
+  double SimilarityUpperBound(const double* query, const double* lo,
+                              const double* hi) const;
+
+  // Bounds every M either head computes. A softmax output never rounds
+  // above 1; the regression head's rescaled cosine can, by accumulated
+  // rounding (~1e-14 relative), so the bound carries a 1e-9 margin.
+  static constexpr double kMaxSimilarity = 1.0 + 1e-9;
+
   // The gradient half of TrainPair: the fused forward of both trees, the
   // head's loss, then the backward, which adds the pair's gradient to every
   // Parameter::grad. Returns the loss. An empty tree returns 0 and a

@@ -317,8 +317,7 @@ bool Writer::Open(const std::string& path, std::uint32_t kind,
     *error = temp_path + ": cannot open for writing";
     return false;
   }
-  std::vector<std::uint8_t> header;
-  header.insert(header.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> header(kMagic, kMagic + sizeof(kMagic));
   AppendU32(&header, kContainerVersion);
   AppendU32(&header, kind);
   header.push_back(kLittleEndianTag);

@@ -86,28 +86,31 @@ std::vector<RequestRecord> RequestLog::Snapshot() const {
     for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
       const std::uint64_t before = slot.version.load(std::memory_order_acquire);
       if (before & 1) continue;  // writer inside
-      record.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      record.end_nanos = slot.end_nanos.load(std::memory_order_relaxed);
-      record.op = slot.op.load(std::memory_order_relaxed);
+      // Acquire field loads keep the closing version load below after all
+      // of them (a later load never moves above an acquire), which is what
+      // a seqlock reader needs — ordered by the loads themselves rather
+      // than a fence, so ThreadSanitizer checks it.
+      record.trace_id = slot.trace_id.load(std::memory_order_acquire);
+      record.end_nanos = slot.end_nanos.load(std::memory_order_acquire);
+      record.op = slot.op.load(std::memory_order_acquire);
       record.outcome = static_cast<RequestOutcome>(
-          slot.outcome.load(std::memory_order_relaxed));
-      record.batch_size = slot.batch_size.load(std::memory_order_relaxed);
+          slot.outcome.load(std::memory_order_acquire));
+      record.batch_size = slot.batch_size.load(std::memory_order_acquire);
       record.queue_wait_nanos =
-          slot.queue_wait_nanos.load(std::memory_order_relaxed);
-      record.encode_nanos = slot.encode_nanos.load(std::memory_order_relaxed);
-      record.score_nanos = slot.score_nanos.load(std::memory_order_relaxed);
-      record.reply_nanos = slot.reply_nanos.load(std::memory_order_relaxed);
-      record.scored_pairs = slot.scored_pairs.load(std::memory_order_relaxed);
-      record.pruned_pairs = slot.pruned_pairs.load(std::memory_order_relaxed);
-      record.has_deadline = slot.has_deadline.load(std::memory_order_relaxed);
+          slot.queue_wait_nanos.load(std::memory_order_acquire);
+      record.encode_nanos = slot.encode_nanos.load(std::memory_order_acquire);
+      record.score_nanos = slot.score_nanos.load(std::memory_order_acquire);
+      record.reply_nanos = slot.reply_nanos.load(std::memory_order_acquire);
+      record.scored_pairs = slot.scored_pairs.load(std::memory_order_acquire);
+      record.pruned_pairs = slot.pruned_pairs.load(std::memory_order_acquire);
+      record.has_deadline = slot.has_deadline.load(std::memory_order_acquire);
       record.deadline_slack_nanos =
-          slot.deadline_slack_nanos.load(std::memory_order_relaxed);
+          slot.deadline_slack_nanos.load(std::memory_order_acquire);
       std::uint64_t words[kRequestNameBytes / 8];
       for (std::size_t w = 0; w < kRequestNameBytes / 8; ++w) {
-        words[w] = slot.name_words[w].load(std::memory_order_relaxed);
+        words[w] = slot.name_words[w].load(std::memory_order_acquire);
       }
       std::memcpy(record.name, words, sizeof(words));
-      std::atomic_thread_fence(std::memory_order_acquire);
       stable = slot.version.load(std::memory_order_relaxed) == before &&
                before != 0;  // version 0 = never written
     }

@@ -64,8 +64,8 @@ struct RequestRecord {
   std::uint64_t encode_nanos = 0;      // this query's AST encode
   std::uint64_t score_nanos = 0;       // the batch's shared scoring sweep
   std::uint64_t reply_nanos = 0;       // serialization + socket write
-  std::uint64_t scored_pairs = 0;      // candidate pairs actually scored
-  std::uint64_t pruned_pairs = 0;      // pairs skipped by the distance cut
+  std::uint64_t scored_pairs = 0;      // (query, column) pairs scored
+  std::uint64_t pruned_pairs = 0;      // the rest of the index's entries
   bool has_deadline = false;
   // Deadline budget remaining when the record was cut; negative = already
   // past the deadline. Zero (with has_deadline false) for undeadlined ops.

@@ -348,7 +348,9 @@ TEST_F(MetricsTest, ResetClearsEverything) {
   EXPECT_EQ(h->count, 0u);
   EXPECT_TRUE(h->buckets.empty());
   const StageTiming* span = FindSpan(snapshot, "reset-stage");
-  if (span != nullptr) EXPECT_EQ(span->count, 0u);
+  if (span != nullptr) {
+    EXPECT_EQ(span->count, 0u);
+  }
   for (const GaugeValue& gauge : snapshot.gauges) {
     EXPECT_NE(gauge.name, "test.gauge");
   }

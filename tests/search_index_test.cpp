@@ -1,19 +1,24 @@
-// Differential tests for the packed/pruned SearchIndex query paths.
+// Differential tests for the deduplicated, leaf-pruned SearchIndex sweep.
 //
 // The contract under test is bitwise identity: TopK, TopKBatch,
-// AboveThreshold, and AboveThresholdBatch — the one blocked-GEMM sweep with
-// the exact callee-distance prefilter, under its keep-k and threshold floor
-// policies — must return the same hits, the same scores (bit for bit), and
-// the same order as the brute-force oracle (tests/search_oracle.h), at
-// every thread count, on monolithic and sharded indexes, for both siamese
-// heads, and on adversarial callee-count distributions where the prune is
-// either useless (all counts equal) or maximally aggressive (extreme
-// spread). Per-query pair accounting is checked alongside.
+// AboveThreshold, and AboveThresholdBatch — the one blocked-GEMM sweep over
+// leaves of distinct columns, bounded by eq. (8) over each leaf's box and
+// by S, under its keep-k and threshold floor policies — must return the
+// same hits, the same scores (bit for bit), and the same order as the
+// brute-force oracle (tests/search_oracle.h), at every thread count, on
+// monolithic, sharded and reloaded indexes, for both siamese heads,
+// untrained and trained, and on adversarial indexes: equal or extreme
+// callee counts, duplicate-heavy and all-identical columns, one-column
+// leaves whose bounds tie the floor, and encodings where sigma saturates.
+// Per-query pair accounting is checked alongside.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/asteria.h"
@@ -237,9 +242,8 @@ TEST(SearchIndexTest, IdenticalScoresTiebreakByInsertionIndex) {
             "");
 }
 
-// Adversarial distribution 1: every entry has the same callee count — the
-// side index is a single giant bucket, seeds and the distance cut are
-// useless, and the sweep must degrade gracefully to scoring everything.
+// Adversarial distribution 1: every entry has the same callee count — S is
+// 1 for every leaf, so only the box bounds can prune.
 TEST(SearchIndexTest, PrefilterParityAllEqualCallees) {
   const AsteriaConfig config = SmallConfig();
   AsteriaModel model(config);
@@ -285,7 +289,7 @@ TEST(SearchIndexTest, PrunedSweepMatchesReferenceUniformCallees) {
                                              MakeQuery(2, 0)};
   RunDifferential(&index, model, queries, 25, 0.5, "uniform");
   // k above the prune cap (kMaxPruneK) still matches: the sweep falls back
-  // to scoring everything.
+  // to scoring every leaf.
   index.set_threads(2);
   const FunctionFeature big = MakeQuery(3, 31);
   EXPECT_EQ(oracle::HitsMismatch(index.TopK(big, 600),
@@ -295,7 +299,8 @@ TEST(SearchIndexTest, PrunedSweepMatchesReferenceUniformCallees) {
 }
 
 // Regression head: M is a rescaled cosine that can exceed 1.0 by rounding
-// ulps, which is exactly what the prune slack exists for.
+// ulps, which is exactly what SiameseModel::kMaxSimilarity's margin is for;
+// its leaves are bounded by S alone.
 TEST(SearchIndexTest, RegressionHeadParity) {
   const AsteriaConfig config = SmallConfig(SiameseHead::kRegression);
   AsteriaModel model(config);
@@ -415,6 +420,274 @@ TEST(SearchIndexTest, AddEncodedRejectsBadEncodings) {
   nn::Matrix good(h, 1);
   EXPECT_EQ(index.AddEncoded("good", good, 0), 0);
   EXPECT_EQ(index.size(), 1);
+}
+
+// Per-query scored pairs of one TopKBatch at k — the prune's footprint,
+// which must be a pure function of the entries and the query.
+std::vector<std::uint64_t> ScoredPairs(SearchIndex* index,
+                                       const std::vector<FunctionFeature>& queries,
+                                       int k) {
+  std::vector<const FunctionFeature*> ptrs;
+  for (const FunctionFeature& q : queries) ptrs.push_back(&q);
+  std::vector<SearchIndex::QuerySearchStats> stats;
+  index->TopKBatch(ptrs, std::vector<int>(queries.size(), k), &stats);
+  std::vector<std::uint64_t> scored;
+  for (const SearchIndex::QuerySearchStats& s : stats) {
+    scored.push_back(s.scored_pairs);
+  }
+  return scored;
+}
+
+// Distinct (encoding bits, callee count) keys among `index`'s entries.
+std::size_t DistinctKeys(const SearchIndex& index) {
+  std::set<std::pair<std::string, int>> keys;
+  for (int i = 0; i < index.size(); ++i) {
+    const nn::Matrix enc = index.encoding(i);
+    keys.insert({std::string(reinterpret_cast<const char*>(enc.data()),
+                             enc.size() * sizeof(double)),
+                 index.callee_count(i)});
+  }
+  return keys.size();
+}
+
+// Saves entries [begin, end) of `index` as shard `file` under `dir`.
+store::ShardRecord WriteShard(const SearchIndex& index,
+                              const AsteriaModel& model,
+                              const std::string& dir, const std::string& file,
+                              int begin, int end) {
+  SearchIndex shard(model);
+  for (int i = begin; i < end; ++i) {
+    EXPECT_GE(shard.AddEncoded(index.name(i), index.encoding(i),
+                               index.callee_count(i)),
+              0);
+  }
+  std::string error;
+  EXPECT_TRUE(shard.Save(dir + file, &error)) << error;
+  store::ShardRecord record;
+  record.file = file;
+  record.entries = static_cast<std::uint64_t>(end - begin);
+  return record;
+}
+
+void WriteManifest(const AsteriaModel& model, const std::string& dir,
+                   const std::vector<store::ShardRecord>& shards) {
+  store::ShardManifest manifest;
+  manifest.model_fingerprint = model.WeightsFingerprint();
+  manifest.sequence = shards.size();
+  manifest.shards = shards;
+  std::string error;
+  ASSERT_TRUE(store::SaveManifest(manifest, dir + store::kManifestFileName,
+                                  &error))
+      << error;
+}
+
+// Duplicate-heavy fleet: most entries repeat one of 40 encodings, under
+// one of three callee counts — the same encoding both shares columns
+// (equal counts) and splits into distinct ones (different counts) — and
+// every fifth entry is unique. Member groups straddle every shard boundary
+// below, and k = 40 is larger than any group while k = 3 is smaller.
+TEST(SearchIndexTest, DuplicateHeavyIndexAcrossShardsAndReload) {
+  const AsteriaConfig config = SmallConfig();
+  AsteriaModel model(config);
+  const int h = config.siamese.encoder.hidden_dim;
+  util::Rng rng(0xd0b1e5ULL);
+  std::vector<nn::Matrix> pool(40, nn::Matrix(h, 1));
+  for (nn::Matrix& enc : pool) {
+    for (int r = 0; r < h; ++r) {
+      enc(r, 0) = static_cast<double>(rng.NextBounded(2000)) / 1000.0 - 1.0;
+    }
+  }
+  SearchIndex mono(model);
+  std::vector<nn::Matrix> added;
+  for (int i = 0; i < 2600; ++i) {
+    nn::Matrix enc = pool[rng.NextBounded(40)];
+    if (i % 5 == 4) {
+      for (int r = 0; r < h; ++r) {
+        enc(r, 0) = static_cast<double>(rng.NextBounded(2000)) / 1000.0 - 1.0;
+      }
+    }
+    ASSERT_GE(mono.AddEncoded("fn" + std::to_string(i), enc,
+                              static_cast<int>(rng.NextBounded(3))),
+              0);
+    added.push_back(enc);
+  }
+  ASSERT_EQ(static_cast<std::size_t>(mono.distinct_columns()),
+            DistinctKeys(mono));
+  ASSERT_LT(mono.distinct_columns(), 700);
+  for (int i = 0; i < mono.size(); ++i) {
+    EXPECT_EQ(std::memcmp(mono.encoding(i).data(),
+                          added[static_cast<std::size_t>(i)].data(),
+                          static_cast<std::size_t>(h) * sizeof(double)),
+              0)
+        << i;
+  }
+  const std::vector<FunctionFeature> queries{MakeQuery(0, 0), MakeQuery(1, 1),
+                                             MakeQuery(2, 2), MakeQuery(3, 9)};
+  RunDifferential(&mono, model, queries, 3, 0.45, "dup-heavy k=3");
+  RunDifferential(&mono, model, queries, 40, 0.6, "dup-heavy k=40");
+
+  // The same entries as three shards: first opened from a two-shard
+  // manifest and queried (its leaves built), then reloaded from the
+  // three-shard manifest with that index as the base.
+  const std::string dir = TempPath("search_index_dups/");
+  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
+  const store::ShardRecord s0 = WriteShard(mono, model, dir, "s0.idx", 0, 1000);
+  const store::ShardRecord s1 =
+      WriteShard(mono, model, dir, "s1.idx", 1000, 2550);
+  const store::ShardRecord s2 =
+      WriteShard(mono, model, dir, "s2.idx", 2550, 2600);
+  WriteManifest(model, dir, {s0, s1});
+  std::string error;
+  SearchIndex base(model);
+  ASSERT_TRUE(base.Open(dir + store::kManifestFileName, &error)) << error;
+  ASSERT_EQ(base.size(), 2550);
+  EXPECT_EQ(oracle::HitsMismatch(base.TopK(queries[0], 10),
+                                 oracle::TopKReference(base, model,
+                                                       queries[0], 10)),
+            "");
+  WriteManifest(model, dir, {s0, s1, s2});
+  SearchIndex reloaded(model);
+  ASSERT_TRUE(reloaded.Open(dir + store::kManifestFileName, &error, &base))
+      << error;
+  EXPECT_EQ(reloaded.shards_reused(), 2);
+  EXPECT_EQ(reloaded.shards_read(), 1);
+  ASSERT_EQ(reloaded.size(), mono.size());
+  EXPECT_EQ(reloaded.distinct_columns(), mono.distinct_columns());
+  RunDifferential(&reloaded, model, queries, 10, 0.45, "dup-heavy reloaded");
+
+  // Reloading onto itself keeps its entries and columns.
+  ASSERT_TRUE(reloaded.Open(dir + store::kManifestFileName, &error, &reloaded))
+      << error;
+  EXPECT_EQ(reloaded.shards_reused(), 3);
+  EXPECT_EQ(reloaded.distinct_columns(), mono.distinct_columns());
+
+  SearchIndex sharded(model);
+  ASSERT_TRUE(sharded.Open(dir + store::kManifestFileName, &error)) << error;
+  RunDifferential(&sharded, model, queries, 10, 0.45, "dup-heavy sharded");
+  for (int threads : {1, 2, 8}) {
+    for (SearchIndex* index : {&mono, &sharded, &reloaded, &base}) {
+      index->set_threads(threads);
+    }
+    const auto want = ScoredPairs(&mono, queries, 10);
+    EXPECT_EQ(ScoredPairs(&sharded, queries, 10), want) << threads;
+    EXPECT_EQ(ScoredPairs(&reloaded, queries, 10), want) << threads;
+    for (const FunctionFeature& q : queries) {
+      EXPECT_EQ(oracle::HitsMismatch(reloaded.TopK(q, 10), mono.TopK(q, 10)),
+                "")
+          << "reloaded-vs-mono threads=" << threads;
+    }
+  }
+}
+
+// Every entry one column: one leaf, one scored pair per query, and the
+// members come back in insertion order. With the counts split four ways,
+// each encoding keeps four columns.
+TEST(SearchIndexTest, AllIdenticalColumns) {
+  const AsteriaConfig config = SmallConfig();
+  AsteriaModel model(config);
+  const int h = config.siamese.encoder.hidden_dim;
+  nn::Matrix enc(h, 1);
+  for (int r = 0; r < h; ++r) enc(r, 0) = 0.125 * (r - 3);
+  SearchIndex same(model), split(model);
+  for (int i = 0; i < 2500; ++i) {
+    ASSERT_GE(same.AddEncoded("clone" + std::to_string(i), enc, 2), 0);
+    ASSERT_GE(split.AddEncoded("clone" + std::to_string(i), enc, i % 4), 0);
+  }
+  EXPECT_EQ(same.distinct_columns(), 1);
+  EXPECT_EQ(split.distinct_columns(), 4);
+  const std::vector<FunctionFeature> queries{MakeQuery(0, 2), MakeQuery(1, 0),
+                                             MakeQuery(2, 5000)};
+  RunDifferential(&same, model, queries, 10, 0.3, "all-identical");
+  RunDifferential(&split, model, queries, 10, 0.3, "all-identical split");
+  for (std::uint64_t scored : ScoredPairs(&same, queries, 10)) {
+    EXPECT_EQ(scored, 1u);
+  }
+  const auto top = same.TopK(queries[0], 10);
+  ASSERT_EQ(top.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(top[static_cast<std::size_t>(i)].index, i);
+  }
+}
+
+// Every column its own callee count, so every leaf holds one column, and
+// counts fall as insertion index rises, so the lowest-index entries sit in
+// the last leaves. A query far from every count scores all of them 0: the
+// floor is 0 and every leaf's bound ties it, so a sweep that skipped a
+// leaf at bound == floor would lose the insertion-index tiebreak.
+TEST(SearchIndexTest, OneColumnLeavesKeepTiesWithTheFloor) {
+  const AsteriaConfig config = SmallConfig();
+  AsteriaModel model(config);
+  SearchIndex index(model);
+  FillSynthetic(&index, model, 2200, [](int i) { return (2200 - i) * 3; });
+  const std::vector<FunctionFeature> queries{
+      MakeQuery(0, 1000000000), MakeQuery(1, 3300), MakeQuery(2, 0)};
+  RunDifferential(&index, model, queries, 10, 0.0, "one-column leaves");
+  RunDifferential(&index, model, queries, 25, 0.2, "one-column leaves k=25");
+  const auto far = index.TopK(queries[0], 10);
+  ASSERT_EQ(far.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(far[static_cast<std::size_t>(i)].index, i);
+    EXPECT_EQ(far[static_cast<std::size_t>(i)].score, 0.0);
+  }
+}
+
+// Encodings far outside the Tree-LSTM's (-1, 1): |x - y| and x * y drive
+// sigma to exactly 0 or 1 (and exp to inf), inside leaves whose boxes also
+// hold ordinary columns. Both heads.
+TEST(SearchIndexTest, SaturatingEncodings) {
+  for (SiameseHead head :
+       {SiameseHead::kClassification, SiameseHead::kRegression}) {
+    const AsteriaConfig config = SmallConfig(head);
+    AsteriaModel model(config);
+    const int h = config.siamese.encoder.hidden_dim;
+    const double levels[] = {-1000.0, -40.0, -1.0, 0.0, 0.5, 40.0, 1000.0};
+    util::Rng rng(0x5a7ULL);
+    SearchIndex index(model);
+    for (int i = 0; i < 2300; ++i) {
+      nn::Matrix enc(h, 1);
+      for (int r = 0; r < h; ++r) {
+        enc(r, 0) = i % 2 == 0
+                        ? levels[rng.NextBounded(7)]
+                        : static_cast<double>(rng.NextBounded(2000)) / 1000.0 -
+                              1.0;
+      }
+      ASSERT_GE(index.AddEncoded("fn" + std::to_string(i), enc, i % 5), 0);
+    }
+    const std::vector<FunctionFeature> queries{MakeQuery(0, 1), MakeQuery(1, 4),
+                                               MakeQuery(2, 2)};
+    RunDifferential(&index, model, queries, 10, 0.4,
+                    head == SiameseHead::kRegression ? "saturating regression"
+                                                     : "saturating");
+  }
+}
+
+// Trained weights: a few TrainPair epochs move W off its Xavier init, so
+// W[:,1] - W[:,0] no longer has the untrained sign pattern the bound was
+// first measured on.
+TEST(SearchIndexTest, TrainedModelParity) {
+  const AsteriaConfig config = SmallConfig();
+  AsteriaModel model(config);
+  std::vector<FunctionFeature> trees;
+  for (int v = 0; v < 6; ++v) trees.push_back(MakeQuery(v, 0));
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    for (int a = 0; a < 6; ++a) {
+      for (int b = 0; b < 6; ++b) {
+        model.TrainPair(trees[static_cast<std::size_t>(a)].tree,
+                        trees[static_cast<std::size_t>(b)].tree,
+                        a % 2 == b % 2);
+      }
+    }
+  }
+  SearchIndex index(model);
+  FillSynthetic(&index, model, 2300, [](int i) { return (i * 5) % 24; });
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_GE(index.AddEncoded("dup" + std::to_string(i), index.encoding(i * 3),
+                               index.callee_count(i * 3)),
+              0);
+  }
+  const std::vector<FunctionFeature> queries{MakeQuery(0, 3), MakeQuery(1, 12),
+                                             MakeQuery(4, 23)};
+  RunDifferential(&index, model, queries, 10, 0.5, "trained");
 }
 
 }  // namespace

@@ -388,7 +388,9 @@ TEST_F(FailpointTest, ListContainsRegisteredPointsSorted) {
   bool found = false;
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (names[i] == "util_test.listed") found = true;
-    if (i > 0) EXPECT_LE(names[i - 1], names[i]);
+    if (i > 0) {
+      EXPECT_LE(names[i - 1], names[i]);
+    }
   }
   EXPECT_TRUE(found);
 }
