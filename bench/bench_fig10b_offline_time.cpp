@@ -9,13 +9,6 @@
 // (SearchIndex::AddAll) single- vs multi-threaded (--threads), asserts the
 // embeddings and top-k results are bitwise identical, and writes the
 // speedup to bench_out/fig10b_offline_threads.csv.
-//
-// A third section A/B-times the two encode kernels (autograd tape vs fused
-// TreeLstmFastEncoder; docs/PERFORMANCE.md) on the same functions at the
-// --embedding/--hidden shape, asserts their embeddings are bitwise
-// identical, and writes encodes/sec + speedup to --encode_json. With
-// --min_encode_speedup > 0 the run fails if the fused kernel is slower
-// than that factor (the CI smoke gate in scripts/bench_encode.sh).
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -38,12 +31,6 @@ struct Bucket {
 int Run(int argc, char** argv) {
   util::Flags flags;
   bench::DefineCommonFlags(&flags);
-  flags.DefineString("encode_json", "BENCH_encode.json",
-                     "output path for the tape-vs-fused encode kernel "
-                     "comparison (empty = skip that section)");
-  flags.DefineDouble("min_encode_speedup", 0.0,
-                     "fail unless the fused kernel beats the tape path by "
-                     "at least this factor (0 = report only)");
   if (!flags.Parse(argc, argv)) return 1;
   bench::ApplyCommonFlags(flags);
 
@@ -176,101 +163,6 @@ int Run(int argc, char** argv) {
   threads_table.WriteCsv(flags.GetString("out") + "/fig10b_offline_threads.csv");
   if (!identical) {
     std::fprintf(stderr, "FAIL: parallel encodings diverge from serial\n");
-    return 1;
-  }
-
-  // ---- encode kernel A/B: autograd tape vs fused (--encode_json) ---------
-  const std::string encode_json = flags.GetString("encode_json");
-  if (encode_json.empty() || features.empty()) return 0;
-
-  // Two models from the same seed: identical weights, different kernels.
-  core::AsteriaConfig tape_config = model_config;
-  tape_config.siamese.use_fast_encoder = false;
-  core::AsteriaModel tape_model(tape_config);
-  core::AsteriaConfig fast_config = model_config;
-  fast_config.siamese.use_fast_encoder = true;
-  core::AsteriaModel fast_model(fast_config);
-
-  // Enough repetitions for stable single-thread rates on small corpora.
-  int repeats = 1;
-  while (repeats * features.size() < 2000) repeats *= 2;
-
-  auto encode_all = [&](const core::AsteriaModel& m) {
-    timer.Reset();
-    for (int rep = 0; rep < repeats; ++rep) {
-      for (const core::FunctionFeature& feature : features) {
-        (void)m.Encode(feature.tree);
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-  (void)fast_model.Encode(features.front().tree);  // build fused copies
-  const double tape_seconds = encode_all(tape_model);
-  const double fast_seconds = encode_all(fast_model);
-
-  bool kernel_identical = true;
-  for (const core::FunctionFeature& feature : features) {
-    const nn::Matrix a = tape_model.Encode(feature.tree);
-    const nn::Matrix b = fast_model.Encode(feature.tree);
-    if (!a.SameShape(b) ||
-        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
-      kernel_identical = false;
-      break;
-    }
-  }
-
-  const std::size_t encodes = features.size() * static_cast<std::size_t>(repeats);
-  const double tape_rate =
-      tape_seconds > 0 ? static_cast<double>(encodes) / tape_seconds : 0.0;
-  const double fast_rate =
-      fast_seconds > 0 ? static_cast<double>(encodes) / fast_seconds : 0.0;
-  const double kernel_speedup = tape_rate > 0 ? fast_rate / tape_rate : 0.0;
-
-  std::printf("\n== Encode kernel: autograd tape vs fused (single thread) ==\n\n");
-  util::TextTable kernel_table({"kernel", "encodes/sec", "speedup",
-                                "bitwise identical"});
-  char rate_text[32], fast_rate_text[32], kernel_speedup_text[32];
-  std::snprintf(rate_text, sizeof(rate_text), "%.0f", tape_rate);
-  std::snprintf(fast_rate_text, sizeof(fast_rate_text), "%.0f", fast_rate);
-  std::snprintf(kernel_speedup_text, sizeof(kernel_speedup_text), "%.2fx",
-                kernel_speedup);
-  kernel_table.AddRow({"tape", rate_text, "1.00x", "-"});
-  kernel_table.AddRow({"fused", fast_rate_text, kernel_speedup_text,
-                       kernel_identical ? "yes" : "NO"});
-  std::fputs(kernel_table.ToString().c_str(), stdout);
-
-  if (std::FILE* json = std::fopen(encode_json.c_str(), "w")) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"workload\": \"single-thread corpus encode\",\n"
-                 "  \"functions\": %zu,\n"
-                 "  \"repeats\": %d,\n"
-                 "  \"embedding_dim\": %d,\n"
-                 "  \"hidden_dim\": %d,\n"
-                 "  \"tape_encodes_per_sec\": %.2f,\n"
-                 "  \"fast_encodes_per_sec\": %.2f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"bitwise_identical\": %s\n"
-                 "}\n",
-                 features.size(), repeats,
-                 model_config.siamese.encoder.embedding_dim,
-                 model_config.siamese.encoder.hidden_dim, tape_rate, fast_rate,
-                 kernel_speedup, kernel_identical ? "true" : "false");
-    std::fclose(json);
-    std::printf("\nwrote %s\n", encode_json.c_str());
-  } else {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", encode_json.c_str());
-    return 1;
-  }
-
-  if (!kernel_identical) {
-    std::fprintf(stderr, "FAIL: fused kernel diverges from tape path\n");
-    return 1;
-  }
-  const double min_speedup = flags.GetDouble("min_encode_speedup");
-  if (min_speedup > 0 && kernel_speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: fused kernel speedup %.2fx < required %.2fx\n",
-                 kernel_speedup, min_speedup);
     return 1;
   }
   return 0;

@@ -11,10 +11,6 @@
 // BM_SearchTopK additionally times a whole top-10 query against a prebuilt
 // SearchIndex, sharded over worker threads: /1 is the serial baseline and
 // /0 resolves to the --threads=N flag (stripped before gbench parsing).
-//
-// --fast_encoder={0,1} (default 1, also stripped before gbench) selects
-// the encode kernel used by the Asteria benchmarks; BM_AsteriaEncodeOffline
-// vs BM_AsteriaEncodeOfflineTape shows the fused-kernel speedup inline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,8 +29,6 @@ namespace asteria {
 
 // Set by --threads=N in main(); consumed by BM_SearchTopK/0.
 int g_flag_threads = 1;
-// Set by --fast_encoder={0,1} in main(); selects the Model() encode kernel.
-bool g_flag_fast_encoder = true;
 
 namespace {
 
@@ -59,22 +53,8 @@ ast::Ast SyntheticTree(int nodes, util::Rng& rng) {
 }
 
 const core::AsteriaModel& Model() {
-  static core::AsteriaModel* model = [] {
-    core::AsteriaConfig config;
-    config.siamese.use_fast_encoder = g_flag_fast_encoder;
-    return new core::AsteriaModel(config);
-  }();
-  return *model;
-}
-
-// Same weights (same seed), autograd-tape encode path — the A/B reference
-// for BM_AsteriaEncodeOfflineTape.
-const core::AsteriaModel& TapeModel() {
-  static core::AsteriaModel* model = [] {
-    core::AsteriaConfig config;
-    config.siamese.use_fast_encoder = false;
-    return new core::AsteriaModel(config);
-  }();
+  static core::AsteriaModel* model =
+      new core::AsteriaModel(core::AsteriaConfig{});
   return *model;
 }
 
@@ -153,18 +133,6 @@ void BM_AsteriaEncodeOffline(benchmark::State& state) {
 }
 BENCHMARK(BM_AsteriaEncodeOffline)->Arg(20)->Arg(80)->Arg(200);
 
-// The same encode through the autograd tape (the pre-fusion path), for an
-// inline per-tree view of the fused-kernel speedup.
-void BM_AsteriaEncodeOfflineTape(benchmark::State& state) {
-  util::Rng rng(5);
-  const auto tree = core::AsteriaModel::Preprocess(
-      SyntheticTree(static_cast<int>(state.range(0)), rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TapeModel().Encode(tree));
-  }
-}
-BENCHMARK(BM_AsteriaEncodeOfflineTape)->Arg(20)->Arg(80)->Arg(200);
-
 // A 512-function index built once; each TopK call re-scores the whole
 // corpus, so this is the full online phase of a clone-search query.
 core::SearchIndex& SharedIndex() {
@@ -219,17 +187,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       asteria::g_flag_threads = static_cast<int>(threads);
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    } else if (std::strncmp(argv[i], "--fast_encoder=", 15) == 0) {
-      const char* value = argv[i] + 15;
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "bad --fast_encoder value '%s' (want 0 or 1)\n",
-                     value);
-        return 1;
-      }
-      asteria::g_flag_fast_encoder = value[0] == '1';
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
       --i;

@@ -47,7 +47,6 @@ int Run(int argc, char** argv) {
     core::AsteriaConfig config;
     config.siamese.encoder.embedding_dim = size;
     config.siamese.encoder.hidden_dim = size;
-    config.siamese.use_fast_encoder = flags.GetBool("fast_encoder");
     config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
     core::AsteriaModel model(config);
     util::Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed")) + size);

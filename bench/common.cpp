@@ -31,10 +31,6 @@ void DefineCommonFlags(util::Flags* flags) {
   flags->DefineInt("embedding", 16, "Tree-LSTM embedding/hidden size");
   flags->DefineInt("hidden", 0,
                    "Tree-LSTM hidden size (0 = same as --embedding)");
-  flags->DefineBool("fast_encoder", true,
-                    "encode through the fused tape-free kernel (bitwise "
-                    "identical to the tape path; 0 = autograd reference "
-                    "path for A/B timing)");
   flags->DefineString("out", "bench_out", "CSV output directory");
   flags->DefineBool("quiet", false, "suppress progress logging");
   flags->DefineInt("threads", 1,
@@ -109,7 +105,6 @@ void ApplyEncoderFlags(const util::Flags& flags, core::AsteriaConfig* config) {
   const int hidden = static_cast<int>(flags.GetInt("hidden"));
   config->siamese.encoder.embedding_dim = embedding;
   config->siamese.encoder.hidden_dim = hidden > 0 ? hidden : embedding;
-  config->siamese.use_fast_encoder = flags.GetBool("fast_encoder");
 }
 
 ExperimentSetup BuildSetup(const util::Flags& flags) {

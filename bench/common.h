@@ -41,9 +41,9 @@ void DefineObservabilityFlags(util::Flags* flags);
 // free (the call is idempotent).
 void ApplyCommonFlags(const util::Flags& flags);
 
-// Applies the encoder-shape and kernel-selection flags (--embedding,
-// --hidden, --fast_encoder) to an AsteriaConfig. --hidden=0 (the default)
-// keeps hidden_dim equal to embedding_dim, matching the paper's setup.
+// Applies the encoder-shape flags (--embedding, --hidden) to an
+// AsteriaConfig. --hidden=0 (the default) keeps hidden_dim equal to
+// embedding_dim, matching the paper's setup.
 void ApplyEncoderFlags(const util::Flags& flags, core::AsteriaConfig* config);
 
 // Builds the corpus and the mixed-arch 8:2 split from the parsed flags.

@@ -7,7 +7,10 @@
 #      bucket tallies, span counts, and pipeline rows must not depend on the
 #      thread count (only latency-valued fields may differ);
 #   2. asserts the snapshot actually observed the run: nonzero encode.fast
-#      counter and decompile/encode/search span entries.
+#      counter and decompile/encode/search span entries;
+#   3. asserts encode.tape is zero: every CLI encode runs the fused kernel,
+#      and the autograd reference path is reachable only from tests and
+#      bench/perf's train-epoch.
 #
 # Usage: scripts/check_metrics.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -48,5 +51,9 @@ for span in decompile encode search; do
   grep -q "\"$span\": {" "$WORK/m1.json" \
     || { echo "FAIL: span '$span' missing from snapshot" >&2; exit 1; }
 done
+TAPE="$(counter "$WORK/m1.json" 'encode\.tape')"
+[ "$TAPE" -eq 0 ] \
+  || { echo "FAIL: encode.tape=$TAPE: a CLI encode took the tape path" >&2
+       exit 1; }
 
 echo "OK: metrics snapshot deterministic across thread counts and complete"

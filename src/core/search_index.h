@@ -37,7 +37,7 @@
 // prune that only drops provably-losing entries (proof sketch in
 // docs/PERFORMANCE.md). Results are therefore bitwise identical to a
 // brute-force sweep; tests/search_oracle.h holds that brute force as the
-// differential oracle and bench baseline.
+// differential oracle.
 //
 // Both phases parallelize over util::ThreadPool with its static-partition
 // determinism contract: AddAll encodes shards of the input concurrently but

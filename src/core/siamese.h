@@ -32,8 +32,8 @@ struct SiameseConfig {
   double learning_rate = 0.05;
   // Encode() through the fused tape-free TreeLstmFastEncoder (bitwise
   // identical to the tape path, several times faster). Off = the autograd
-  // reference path, kept for gradient checks and A/B benchmarking. Training
-  // always runs the fused kernel.
+  // reference path, selected only by tests and bench/perf's train-epoch;
+  // no command-line flag reaches it. Training always runs the fused kernel.
   bool use_fast_encoder = true;
 };
 

@@ -18,7 +18,7 @@
 // replies are final, never retried.
 //
 // Used by `asteria-cli query --socket` / `asteria-cli ctl`, the serve test
-// net, and scripts/bench_serve.sh's warm-latency loop.
+// net, and bench/perf's query-topk and ingest-arrivals load.
 #pragma once
 
 #include <cstdint>

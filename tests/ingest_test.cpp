@@ -822,6 +822,13 @@ TEST_F(IngestTest, DeltaVulnSearchAppendsAlertsAtLeastOnceAcrossCrashes) {
   EXPECT_EQ(again.size(), 2 * per_run);
 }
 
+std::uint64_t CounterValue(const std::string& name) {
+  for (const util::CounterValue& counter : util::SnapshotMetrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
 TEST_F(IngestTest, ServeReloadPokeMakesNewShardsQueryable) {
   core::AsteriaModel model(SmallModelConfig());
   const auto corpus = MakeCorpus(2, 20);
@@ -858,9 +865,12 @@ TEST_F(IngestTest, ServeReloadPokeMakesNewShardsQueryable) {
   EXPECT_EQ(static_cast<int>(hits.size()), first_entries);
 
   // The second publish pokes the daemon's reload path synchronously: by
-  // the time IngestFile returns, the new shard is queryable.
+  // the time IngestFile returns, the new shard is queryable, and the poke
+  // made exactly one reload.
+  const std::uint64_t reloads = CounterValue("serve.reloads");
   ingest::IngestStats more;
   ASSERT_TRUE(service.IngestFile(paths[1], &more, &error)) << error;
+  EXPECT_EQ(CounterValue("serve.reloads"), reloads + 1);
   ASSERT_TRUE(client.AboveThreshold(features[0], -1.0, &hits, &error))
       << error;
   EXPECT_EQ(static_cast<int>(hits.size()),
@@ -872,13 +882,6 @@ TEST_F(IngestTest, ServeReloadPokeMakesNewShardsQueryable) {
 }
 
 // -- 5. Incremental reload ---------------------------------------------------
-
-std::uint64_t CounterValue(const std::string& name) {
-  for (const util::CounterValue& counter : util::SnapshotMetrics().counters) {
-    if (counter.name == name) return counter.value;
-  }
-  return 0;
-}
 
 // Cumulative serve.reload_shards_{reused,read}: the deltas across one
 // reload say which path it took.

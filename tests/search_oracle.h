@@ -1,12 +1,12 @@
-// Brute-force search oracle for core::SearchIndex (test/bench only).
+// Brute-force search oracle for core::SearchIndex (test only).
 //
-// The pre-packing query implementation, kept verbatim in arithmetic as
-// (a) the differential oracle for tests/search_index_test.cpp — the pruned,
-// blocked sweep must return results bitwise identical to these at every
-// thread count — and (b) the baseline bench/bench_search.cpp measures the
-// sweep against. They score every entry, one pair at a time, with no
-// pruning, and use only SearchIndex's public accessors plus the model's
-// per-pair scorer, so they share no code with the path under test.
+// The pre-packing query implementation, kept verbatim in arithmetic as the
+// differential oracle for tests/search_index_test.cpp and
+// tests/search_prune_test.cpp — the pruned, blocked sweep must return
+// results bitwise identical to these at every thread count. They score
+// every entry, one pair at a time, with no pruning, and use only
+// SearchIndex's public accessors plus the model's per-pair scorer, so they
+// share no code with the path under test.
 #pragma once
 
 #include <string>

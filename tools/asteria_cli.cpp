@@ -26,17 +26,13 @@
 //                                              --batch_file=FILE queries every
 //                                              listed function in one batched
 //                                              sweep, --repeat=N re-runs it and
-//                                              reports warm latency (the
-//                                              scripts/bench_search.sh path)
+//                                              reports the first (cold) batch
+//                                              and the warm ones' latency
 //   asteria-cli run <file> <fn> [args...]      execute in the interpreter
 //   asteria-cli failpoints                     list registered failpoints
 //   asteria-cli query <file> <fn> <isa> [k] --socket=PATH
 //                                              send a top-k query to a running
-//                                              asteria-serve daemon; with
-//                                              --repeat=N, re-send it N times
-//                                              and report per-query latency
-//                                              (the warm path of
-//                                              scripts/bench_serve.sh)
+//                                              asteria-serve daemon
 //   asteria-cli ctl <ping|health|top|reload|shutdown> --socket=PATH
 //                                              control a running daemon;
 //                                              `health` prints index size,
@@ -94,10 +90,6 @@
 // snapshot round trip preserves that: index-query over a loaded snapshot
 // returns bitwise-identical TopK results to a fresh index-build.
 //
-// A --fast_encoder={0,1} flag selects the encode kernel: the fused
-// tape-free TreeLstmFastEncoder (default) or the autograd reference path.
-// Both produce bitwise-identical encodings (docs/PERFORMANCE.md).
-//
 // A --failpoints=SPEC flag (or the ASTERIA_FAILPOINTS env var) arms
 // fault-injection points, e.g. --failpoints=store.write=once (see
 // docs/ROBUSTNESS.md); --failpoints=list prints the registered names.
@@ -154,11 +146,10 @@ namespace {
 using namespace asteria;
 
 int g_threads = 1;           // set by --threads=N
-bool g_fast_encoder = true;  // set by --fast_encoder={0,1}
 std::string g_metrics_out;   // set by --metrics_out=FILE
 std::string g_trace_out;     // set by --trace_out=FILE
 std::string g_socket;        // set by --socket=PATH (query/ctl/ingest)
-long g_repeat = 1;           // set by --repeat=N (query latency loops)
+long g_repeat = 1;           // set by --repeat=N (index-query, ctl top)
 std::string g_batch_file;    // set by --batch_file=FILE (index-query)
 std::string g_weights;       // set by --weights=FILE (ingest/delta-search)
 std::string g_drop_dir;      // set by --drop_dir=DIR (ingest)
@@ -176,22 +167,13 @@ serve::ClientOptions CliClientOptions() {
   return options;
 }
 
-// Model config for every command: the fused tape-free encode kernel unless
-// --fast_encoder=0 asks for the autograd reference path (the two produce
-// bitwise-identical encodings; see docs/PERFORMANCE.md).
-core::AsteriaConfig CliModelConfig() {
-  core::AsteriaConfig config;
-  config.siamese.use_fast_encoder = g_fast_encoder;
-  return config;
-}
-
 int Usage() {
   std::fprintf(
       stderr,
       "usage: asteria-cli <gen|compile|decompile|dot|stats|sim|search|"
       "index-build|index-info|index-query|query|ctl|run|failpoints|"
       "fw-gen|ingest|delta-search|alerts> "
-      "[--threads=N] [--fast_encoder=0|1] [--failpoints=SPEC] "
+      "[--threads=N] [--failpoints=SPEC] "
       "[--log_level=LEVEL] [--metrics_out=FILE] [--trace_out=FILE] "
       "[--socket=PATH] "
       "[--repeat=N] [--batch_file=FILE] [--weights=FILE] [--drop_dir=DIR] "
@@ -375,8 +357,7 @@ int CmdSim(int argc, char** argv) {
   const std::string fn_b = argv[5];
   const binary::Isa isa_b = ParseIsa(argv[6]);
 
-  const core::AsteriaConfig config = CliModelConfig();
-  core::AsteriaModel model(config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (argc > 7) {
     if (!model.Load(argv[7])) {
       std::fprintf(stderr, "cannot load weights from %s\n", argv[7]);
@@ -488,8 +469,7 @@ int CmdSearch(int argc, char** argv) {
   int k = 10;
   if (!ParseTopK(argc, argv, 5, &k)) return 1;
 
-  const core::AsteriaConfig config = CliModelConfig();
-  core::AsteriaModel model(config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (!LoadWeightsOrWarn(&model, argc > 6 ? argv[6] : nullptr)) return 1;
 
   std::vector<core::FunctionFeature> features;
@@ -514,8 +494,7 @@ int CmdIndexBuild(int argc, char** argv) {
   if (!LoadProgram(argv[2], &program)) return 1;
   const std::string out_path = argv[3];
 
-  const core::AsteriaConfig config = CliModelConfig();
-  core::AsteriaModel model(config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (!LoadWeightsOrWarn(&model, argc > 4 ? argv[4] : nullptr)) return 1;
 
   std::vector<core::FunctionFeature> features;
@@ -608,8 +587,7 @@ int CmdIndexQuery(int argc, char** argv) {
   int k = 10;
   if (!ParseTopK(argc, argv, 6, &k)) return 1;
 
-  const core::AsteriaConfig config = CliModelConfig();
-  core::AsteriaModel model(config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (!LoadWeightsOrWarn(&model, argc > 7 ? argv[7] : nullptr)) return 1;
 
   core::SearchIndex index(model, g_threads);
@@ -659,10 +637,15 @@ int CmdIndexQuery(int argc, char** argv) {
   for (std::size_t i = 0; i < queries.size(); ++i) query_ptrs[i] = &queries[i];
   const std::vector<int> ks(queries.size(), k);
 
-  std::vector<std::vector<core::SearchHit>> results;
+  // The first batch after Open also builds the search leaves, so it is
+  // reported alone; mean/min/max cover the warm repetitions 2..N.
+  util::Timer timer;
+  std::vector<std::vector<core::SearchHit>> results =
+      index.TopKBatch(query_ptrs, ks);
+  const std::int64_t first_nanos = timer.ElapsedNanos();
   util::TimingStats latency;
-  for (long rep = 0; rep < g_repeat; ++rep) {
-    util::Timer timer;
+  for (long rep = 1; rep < g_repeat; ++rep) {
+    timer.Reset();
     results = index.TopKBatch(query_ptrs, ks);
     latency.Add(static_cast<double>(timer.ElapsedNanos()));
   }
@@ -671,11 +654,11 @@ int CmdIndexQuery(int argc, char** argv) {
     PrintHits(results[i]);
   }
   if (g_repeat > 1) {
-    // Machine-readable warm-latency line for scripts/bench_search.sh.
     std::printf(
-        "repeat=%ld batch=%zu mean_nanos=%.0f min_nanos=%.0f max_nanos=%.0f\n",
-        g_repeat, queries.size(), latency.mean(), latency.min(),
-        latency.max());
+        "repeat=%ld batch=%zu first_nanos=%lld mean_nanos=%.0f "
+        "min_nanos=%.0f max_nanos=%.0f\n",
+        g_repeat, queries.size(), static_cast<long long>(first_nanos),
+        latency.mean(), latency.min(), latency.max());
   }
   return 0;
 }
@@ -710,21 +693,11 @@ int CmdQuery(int argc, char** argv) {
     return 1;
   }
   std::vector<core::SearchHit> hits;
-  util::TimingStats latency;
-  for (long i = 0; i < g_repeat; ++i) {
-    util::Timer timer;
-    if (!client.TopK(query, k, &hits, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    latency.Add(static_cast<double>(timer.ElapsedNanos()));
+  if (!client.TopK(query, k, &hits, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
   PrintHits(hits);
-  if (g_repeat > 1) {
-    // Machine-readable warm-latency line for scripts/bench_serve.sh.
-    std::printf("repeat=%ld mean_nanos=%.0f min_nanos=%.0f max_nanos=%.0f\n",
-                g_repeat, latency.mean(), latency.min(), latency.max());
-  }
   return 0;
 }
 
@@ -901,8 +874,7 @@ int CmdFwGen(int argc, char** argv) {
 
 int CmdIngest(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const core::AsteriaConfig config = CliModelConfig();
-  core::AsteriaModel model(config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (!LoadWeightsOrWarn(&model, g_weights.empty() ? nullptr
                                                    : g_weights.c_str())) {
     return 1;
@@ -964,8 +936,7 @@ int CmdDeltaSearch(int argc, char** argv) {
       return 2;
     }
   }
-  const core::AsteriaConfig config = CliModelConfig();
-  core::AsteriaModel model(config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (!LoadWeightsOrWarn(&model, g_weights.empty() ? nullptr
                                                    : g_weights.c_str())) {
     return 1;
@@ -1047,17 +1018,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       g_threads = static_cast<int>(threads);
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    } else if (std::strncmp(argv[i], "--fast_encoder=", 15) == 0) {
-      const char* value = argv[i] + 15;
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "bad --fast_encoder value '%s' (want 0 or 1)\n",
-                     value);
-        return 2;
-      }
-      g_fast_encoder = value[0] == '1';
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
       --i;

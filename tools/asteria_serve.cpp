@@ -3,8 +3,8 @@
 //   asteria-serve --socket=PATH --index=SNAPSHOT [--weights=FILE]
 //                 [--workers=N] [--batch_max=N] [--queue=N] [--threads=N]
 //                 [--queue_high_water=N] [--io_timeout_ms=N] [--max_conns=N]
-//                 [--drain_timeout_ms=N] [--fast_encoder=0|1]
-//                 [--failpoints=SPEC] [--log_level=LEVEL]
+//                 [--drain_timeout_ms=N] [--failpoints=SPEC]
+//                 [--log_level=LEVEL]
 //                 [--metrics_out=FILE] [--slow_query_ms=N] [--slow_log=FILE]
 //                 [--request_log_out=FILE]
 //
@@ -80,8 +80,6 @@ int main(int argc, char** argv) {
   flags.DefineInt("drain_timeout_ms", 2000,
                   "on shutdown, queued queries get this long to finish "
                   "before the remainder is answered kShuttingDown");
-  flags.DefineBool("fast_encoder", true,
-                   "use the fused tape-free encode kernel");
   flags.DefineString("failpoints", "",
                      "fault-injection spec, e.g. serve.read=once");
   flags.DefineString("log_level", "info", "debug|info|warn|error");
@@ -140,9 +138,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  core::AsteriaConfig model_config;
-  model_config.siamese.use_fast_encoder = flags.GetBool("fast_encoder");
-  core::AsteriaModel model(model_config);
+  core::AsteriaModel model{core::AsteriaConfig{}};
   if (!flags.GetString("weights").empty()) {
     if (!model.Load(flags.GetString("weights"))) {
       std::fprintf(stderr, "cannot load weights from %s\n",
